@@ -455,15 +455,11 @@ func runSoakCluster(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soak
 		defer cts.Close()
 
 		// Operator pipeline: the refresher submits into this registry,
-		// whose promotions serialize the model and hand it to the
-		// coordinator for replica pull.
+		// whose promotions hand the sealed image to the coordinator for
+		// replica pull.
 		opReg, err := registry.New(registry.Options{
 			OnPromote: func(snap *registry.Snapshot) {
-				var buf bytes.Buffer
-				if err := profitmining.WriteModel(&buf, snap.Cat, nil, snap.Rec); err != nil {
-					fail(fmt.Errorf("soakbench: serialize model: %w", err))
-				}
-				coord.SetModel(buf.Bytes())
+				coord.SetModel(snap.Rec.Sealed().Arena().Bytes())
 			},
 		})
 		if err != nil {

@@ -70,7 +70,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -469,15 +468,11 @@ func runCoordinator(f coordinatorFlags) {
 		}
 		// The coordinator's registry exists to gate and distribute, not
 		// to serve: there is no local traffic to shadow, so promotion is
-		// immediate and OnPromote fans the model out to the fleet.
+		// immediate and OnPromote fans the model out to the fleet as the
+		// sealed image Submit produced.
 		reg, err := registry.New(registry.Options{
 			OnPromote: func(snap *registry.Snapshot) {
-				var buf bytes.Buffer
-				if err := profitmining.WriteModel(&buf, snap.Cat, spec, snap.Rec); err != nil {
-					log.Printf("encoding promoted model v%d: %v", snap.Version, err)
-					return
-				}
-				coord.SetModel(buf.Bytes())
+				coord.SetModel(snap.Rec.Sealed().Arena().Bytes())
 			},
 		})
 		if err != nil {

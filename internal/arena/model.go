@@ -157,6 +157,15 @@ func (t *RuleTable) Blob(i int32) []byte {
 	return t.blobPool[t.blobOff[i]:t.blobOff[i+1]]
 }
 
+// Conf returns rule i's confidence Hits/BodyCount, 0 for a rule whose
+// body never occurred — the guard rules.Rule.Conf applies.
+func (t *RuleTable) Conf(i int32) float64 {
+	if t.BodyCount[i] == 0 {
+		return 0
+	}
+	return float64(t.Hits[i]) / float64(t.BodyCount[i])
+}
+
 // Outranks reports whether rule a outranks rule b under the MPF order
 // of Definition 6 — the index twin of rules.Outranks, reading the
 // sealed Prof_re column instead of recomputing the division.

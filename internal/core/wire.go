@@ -9,9 +9,8 @@ import (
 // WireRecommendation is the serving wire shape of one scored
 // recommendation — the object POST /recommend returns per slot. It
 // lives in core (not the HTTP layer) because model sealing pre-marshals
-// these objects into the arena blob pool, and the sealed bytes must be
-// byte-identical to what the live encoder would produce. Field order is
-// part of the wire contract; do not reorder.
+// these objects into the arena blob pool, which the HTTP layer serves
+// verbatim. Field order is part of the wire contract; do not reorder.
 type WireRecommendation struct {
 	Item    string   `json:"item"`
 	PromoIx int      `json:"promoIx"`
@@ -37,13 +36,13 @@ func PromoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int 
 	return -1
 }
 
-// EncodeWire renders one recommendation of a heap-backed recommender
+// MarshalWire renders one recommendation of a heap-backed recommender
 // against its catalog. Every field is a function of the fired rule
-// alone, which is what lets both the serving blob cache and the sealed
-// arena precompute the marshaled form per rule.
-func EncodeWire(cat *model.Catalog, r *Recommender, rec Recommendation) WireRecommendation {
+// alone, which is what lets the sealed arena precompute the marshaled
+// form per rule.
+func MarshalWire(cat *model.Catalog, r *Recommender, rec Recommendation) json.RawMessage {
 	promo := cat.Promo(rec.Promo)
-	return WireRecommendation{
+	data, err := json.Marshal(WireRecommendation{
 		Item:    cat.Item(rec.Item).Name,
 		PromoIx: PromoIndex(cat, rec.Item, rec.Promo),
 		Price:   promo.Price,
@@ -55,13 +54,7 @@ func EncodeWire(cat *model.Catalog, r *Recommender, rec Recommendation) WireReco
 		RuleID:  r.RuleID(rec.Rule),
 		Rule:    rec.Rule.String(r.Space()),
 		Explain: r.Explain(rec),
-	}
-}
-
-// MarshalWire is EncodeWire followed by json.Marshal, degrading one
-// slot (never the whole response) on a pathological value.
-func MarshalWire(cat *model.Catalog, r *Recommender, rec Recommendation) json.RawMessage {
-	data, err := json.Marshal(EncodeWire(cat, r, rec))
+	})
 	if err != nil {
 		// Unreachable for validated models (plain strings and finite
 		// floats); kept so a pathological value degrades one slot, not

@@ -62,6 +62,17 @@ func saveBytes(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
 	return buf.Bytes()
 }
 
+// sealBytes seals a heap model: the image Submit turns every candidate
+// into, and so the oracle for what a promoted snapshot serves.
+func sealBytes(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
+	t.Helper()
+	img, err := modelio.Seal(cat, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // batchBuild is the from-scratch reference the incremental path must
 // reproduce byte for byte.
 func batchBuild(t *testing.T, space *hierarchy.Space, txns []model.Transaction, opts mining.Options) *core.Recommender {
@@ -221,8 +232,8 @@ func TestRefreshStagesByteIdenticalCandidate(t *testing.T) {
 	if _, outcome, err := r.SubmitCurrent("initial"); err != nil || outcome != registry.Promoted {
 		t.Fatalf("initial submit: outcome %v, err %v", outcome, err)
 	}
-	if !bytes.Equal(saveBytes(t, ds.Catalog, reg.Active().Rec),
-		saveBytes(t, ds.Catalog, batchBuild(t, space, ds.Transactions[:window], opts))) {
+	if !bytes.Equal(reg.Active().Rec.Sealed().Arena().Bytes(),
+		sealBytes(t, ds.Catalog, batchBuild(t, space, ds.Transactions[:window], opts))) {
 		t.Fatal("initial model is not byte-identical to the batch build")
 	}
 
@@ -233,7 +244,7 @@ func TestRefreshStagesByteIdenticalCandidate(t *testing.T) {
 		}
 		full := batchBuild(t, space, maint.Window(), opts)
 		wantBytes := saveBytes(t, ds.Catalog, full)
-		if !bytes.Equal(saveBytes(t, ds.Catalog, snap.Rec), wantBytes) {
+		if !bytes.Equal(snap.Rec.Sealed().Arena().Bytes(), sealBytes(t, ds.Catalog, full)) {
 			t.Fatalf("refresh %d: promoted model diverges from a batch rebuild over the same window", i)
 		}
 		if snap.Hash != registry.HashBytes(wantBytes) {

@@ -10,9 +10,11 @@
 package modelio
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -81,9 +83,18 @@ type modelFile struct {
 	Alternates   []ruleJSON            `json:"alternates,omitempty"`
 }
 
+// errSealed rejects a sealed recommender where a heap one is required:
+// the sealed image keeps no covering tree or generalization space to
+// re-encode (a sealed model persists as its image bytes).
+var errSealed = errors.New("modelio: recommender is already sealed")
+
 // Save serializes a recommender with its catalog and hierarchy spec.
+// A sealed recommender is an error.
 func Save(w io.Writer, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core.Recommender) error {
 	space := rec.Space()
+	if space == nil {
+		return errSealed
+	}
 	enc := encoder{space: space, cat: cat}
 
 	mf := modelFile{
@@ -178,17 +189,15 @@ func Load(r io.Reader) (*model.Catalog, *core.Recommender, error) {
 	return cat, rec, nil
 }
 
-// SaveFile and LoadFile are the path-based conveniences.
+// SaveFile and LoadFile are the path-based conveniences. SaveFile
+// encodes in memory first, so a model that fails to encode leaves no
+// file behind.
 func SaveFile(path string, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core.Recommender) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Save(&buf, cat, spec, rec); err != nil {
 		return err
 	}
-	if err := Save(f, cat, spec, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // Verify checks a model stream's format version and payload checksum

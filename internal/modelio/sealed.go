@@ -93,7 +93,7 @@ func fromVerified(m *arena.Model) (*model.Catalog, *core.Recommender, error) {
 func Seal(cat *model.Catalog, rec *core.Recommender) ([]byte, error) {
 	space := rec.Space()
 	if space == nil {
-		return nil, fmt.Errorf("modelio: recommender is already sealed")
+		return nil, errSealed
 	}
 	mainView, altView, ok := rec.MatcherViews()
 	if !ok {

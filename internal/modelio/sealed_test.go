@@ -2,6 +2,9 @@ package modelio
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -185,5 +188,27 @@ func TestResealStability(t *testing.T) {
 	}
 	if ContentHash(first) != ContentHash(second) {
 		t.Fatal("reseal changed the content hash")
+	}
+}
+
+// TestSaveRejectsSealed pins that the v2 encoder refuses a sealed
+// recommender with the same error Seal gives for one, instead of
+// dereferencing the missing generalization space, and that SaveFile
+// then leaves no file behind.
+func TestSaveRejectsSealed(t *testing.T) {
+	cat, _, sealed, _ := sealedWorld(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, cat, nil, sealed); !errors.Is(err, errSealed) {
+		t.Fatalf("Save(sealed) = %v, want %v", err, errSealed)
+	}
+	path := filepath.Join(t.TempDir(), "m.pmm")
+	if err := SaveFile(path, cat, nil, sealed); !errors.Is(err, errSealed) {
+		t.Fatalf("SaveFile(sealed) = %v, want %v", err, errSealed)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("SaveFile(sealed) left %s behind (stat: %v)", path, err)
+	}
+	if _, err := Seal(cat, sealed); !errors.Is(err, errSealed) {
+		t.Fatalf("Seal(sealed) = %v, want %v", err, errSealed)
 	}
 }

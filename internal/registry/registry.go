@@ -11,7 +11,8 @@
 //     enters through Submit, which runs the validation gate
 //     (Validate): load integrity, a non-empty final rule set,
 //     catalog/rule-reference integrity, and optional golden-basket
-//     probes.
+//     probes. A heap candidate that passes is then sealed, so every
+//     snapshot serves the one arena-backed representation.
 //   - With shadow scoring off, a valid candidate is promoted
 //     immediately. With shadow scoring on, it is staged: the serving
 //     layer replays a configurable fraction of live /recommend traffic
@@ -35,6 +36,7 @@ import (
 
 	"profitmining/internal/core"
 	"profitmining/internal/model"
+	"profitmining/internal/modelio"
 )
 
 // Snapshot is one immutable model version: the catalog and recommender
@@ -46,7 +48,7 @@ type Snapshot struct {
 	LoadedAt time.Time // when the snapshot entered the registry
 
 	Cat *model.Catalog
-	Rec *core.Recommender
+	Rec *core.Recommender // always sealed (Rec.Sealed() != nil); see Submit
 }
 
 // Options configures a Registry.
@@ -65,11 +67,11 @@ type Options struct {
 	ShadowMinSamples int
 
 	// Gate, when non-nil, is a state-dependent admission check run after
-	// Validate: it receives the candidate together with the currently
-	// active snapshot (nil before the first promotion) and rejects the
-	// candidate by returning an error — e.g. comparing the candidate's
-	// golden-basket answers or projected profit against the active
-	// model's. Unlike Validate it may depend on registry state, so a
+	// Validate: it receives the candidate, already sealed, together with
+	// the currently active snapshot (nil before the first promotion) and
+	// rejects the candidate by returning an error — e.g. comparing the
+	// candidate's golden-basket answers or projected profit against the
+	// active model's. Unlike Validate it may depend on registry state, so a
 	// candidate it rejects can become acceptable later without its bytes
 	// changing; the file watcher accounts for that by retrying remembered
 	// rejections whenever the active version changes.
@@ -198,9 +200,24 @@ func (o Outcome) String() string {
 // (no active model yet, or shadow scoring disabled) or stages it for
 // shadow scoring. A rejected candidate never disturbs the active
 // snapshot. The returned snapshot carries the assigned version.
+//
+// Submit is the one place a model changes representation: a heap
+// candidate that passes Validate is sealed (modelio.Seal) and reopened
+// from the image, so the Gate, the snapshot and OnPromote only ever see
+// sealed models. An already sealed candidate goes through untouched.
+// hash is kept as given, whatever representation it was computed over.
 func (r *Registry) Submit(cat *model.Catalog, rec *core.Recommender, source, hash string) (*Snapshot, Outcome, error) {
 	if err := Validate(cat, rec, r.opts.Probes); err != nil {
 		return nil, Rejected, err
+	}
+	if rec.Sealed() == nil {
+		img, err := modelio.Seal(cat, rec)
+		if err != nil {
+			return nil, Rejected, fmt.Errorf("registry: sealing candidate: %w", err)
+		}
+		if cat, rec, err = modelio.LoadBytes(img); err != nil {
+			return nil, Rejected, fmt.Errorf("registry: reopening sealed candidate: %w", err)
+		}
 	}
 	if r.opts.Gate != nil {
 		if err := r.opts.Gate(cat, rec, r.Active()); err != nil {

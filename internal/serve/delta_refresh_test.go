@@ -14,7 +14,6 @@ import (
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/incremental"
 	"profitmining/internal/mining"
-	"profitmining/internal/model"
 	"profitmining/internal/modelio"
 	"profitmining/internal/registry"
 )
@@ -146,7 +145,11 @@ func TestDriftDeltaRefreshEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveGrocery(t, g.Dataset.Catalog, staged.Rec), saveGrocery(t, g.Dataset.Catalog, full)) {
+	wantImg, err := modelio.Seal(g.Dataset.Catalog, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(staged.Rec.Sealed().Arena().Bytes(), wantImg) {
 		t.Fatal("delta-refreshed candidate diverges from a batch rebuild over the slid window")
 	}
 
@@ -188,15 +191,4 @@ func (a *atomicRefresher) onDrift() {
 	if r := a.p.Load(); r != nil {
 		r.OnDrift()
 	}
-}
-
-// saveGrocery serializes a model exactly as every registry surface
-// identifies it.
-func saveGrocery(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := modelio.Save(&buf, cat, grocerySpec(), rec); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

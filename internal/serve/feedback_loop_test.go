@@ -181,7 +181,8 @@ func TestDriftTriggerInvariantUnderParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		RegisterSnapshot(fb, &registry.Snapshot{Version: 1, Hash: "h", Cat: g.Dataset.Catalog, Rec: rec})
+		cat, sealed := sealModel(t, g.Dataset.Catalog, rec)
+		RegisterSnapshot(fb, &registry.Snapshot{Version: 1, Hash: "h", Cat: cat, Rec: sealed})
 
 		// One rule, identical across builds because its ID is a content
 		// hash of a deterministically built model.

@@ -7,8 +7,10 @@
 // The model is read through an internal/registry snapshot taken once per
 // request — a lock-free atomic load — so the registry can hot-swap
 // versions under live traffic without a request ever observing a torn
-// (catalog, recommender) pair. Every model-derived response carries the
-// serving version in the X-Model-Version header.
+// (catalog, recommender) pair. Every snapshot is sealed (the registry
+// seals heap candidates at Submit), so responses splice the sealed
+// image's pre-marshaled recommendation blobs. Every model-derived
+// response carries the serving version in the X-Model-Version header.
 package serve
 
 import (
@@ -25,13 +27,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"profitmining/internal/arena"
 	"profitmining/internal/core"
 	"profitmining/internal/feedback"
 	"profitmining/internal/model"
 	"profitmining/internal/par"
 	"profitmining/internal/registry"
-	"profitmining/internal/rules"
 	"profitmining/internal/stats"
 )
 
@@ -80,10 +80,6 @@ type Server struct {
 	draining        atomic.Bool              // set by StartDrain; health answers 503
 	requests        map[string]*atomic.Int64 // per-endpoint hit counters, fixed key set
 
-	// enc caches the active snapshot's pre-marshaled recommendation
-	// objects (see encCache). Rebuilt lazily after a hot swap.
-	enc atomic.Pointer[encCache]
-
 	latencyMu sync.Mutex
 	latency   *stats.Histogram            // request latency, milliseconds, all endpoints
 	epLatency map[string]*stats.Histogram // per-endpoint latency, fixed key set
@@ -91,9 +87,10 @@ type Server struct {
 
 // New creates a Server over a fixed (catalog, recommender) pair — the
 // single-model deployment without hot swap. The pair still goes through
-// the registry's validation gate; New panics if it fails, since a fixed
-// deployment has no old version to fall back to and serving it would
-// 500 every request anyway.
+// the registry's validation gate (and is sealed there if it is a heap
+// model); New panics if it fails, since a fixed deployment has no old
+// version to fall back to and serving it would 500 every request
+// anyway.
 func New(cat *model.Catalog, rec *core.Recommender) *Server {
 	fb, _, err := feedback.Open(feedback.Config{})
 	if err != nil {
@@ -348,14 +345,11 @@ type recommendRequest struct {
 	K      int        `json:"k,omitempty"`
 }
 
-// recommendationJSON is one scored recommendation. The shape lives in
-// core (model sealing pre-marshals it into the arena image); this alias
-// keeps the serving layer's wire documentation in one place.
-type recommendationJSON = core.WireRecommendation
-
-// recommendResponse documents the POST /recommend wire shape. The hot
-// path does not encode this struct: writeRecommendResponse streams the
-// identical bytes (pinned by TestStreamedEnvelopesMatchEncoder).
+// recommendResponse documents the POST /recommend wire shape. Each
+// recommendation is a core.WireRecommendation, marshaled once at seal
+// time into the image's blob pool. The hot path does not encode this
+// struct: writeRecommendResponse streams the identical bytes (pinned by
+// TestStreamedEnvelopesMatchEncoder).
 type recommendResponse struct {
 	Recommendations []json.RawMessage `json:"recommendations"`
 	ModelVersion    int               `json:"modelVersion"`
@@ -450,26 +444,16 @@ func (s *Server) rules(w http.ResponseWriter, r *http.Request) {
 		Rule string `json:"rule"`
 	}
 	// Cap at the real rule count before sizing anything: limit comes off
-	// the wire and must not drive an allocation.
-	var out []ruleJSON
-	if sm := snap.Rec.Sealed(); sm != nil {
-		rt := sm.Rules()
-		if n := sm.Meta().NumFinal; limit > n {
-			limit = n
-		}
-		out = make([]ruleJSON, 0, limit)
-		for i := 0; i < limit; i++ {
-			out = append(out, ruleJSON{ID: rt.ID(int32(i)), Rule: rt.String(int32(i))})
-		}
-	} else {
-		final := snap.Rec.Rules()
-		if limit > len(final) {
-			limit = len(final)
-		}
-		out = make([]ruleJSON, 0, limit)
-		for _, rule := range final[:limit] {
-			out = append(out, ruleJSON{ID: snap.Rec.RuleID(rule), Rule: rule.String(snap.Rec.Space())})
-		}
+	// the wire and must not drive an allocation. The final rules lead the
+	// sealed rule table in MPF rank order.
+	sm := snap.Rec.Sealed()
+	rt := sm.Rules()
+	if n := sm.Meta().NumFinal; limit > n {
+		limit = n
+	}
+	out := make([]ruleJSON, 0, limit)
+	for i := int32(0); int(i) < limit; i++ {
+		out = append(out, ruleJSON{ID: rt.ID(i), Rule: rt.String(i)})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"rules": out, "total": snap.Rec.Stats().RulesFinal})
 }
@@ -526,10 +510,10 @@ func (s *Server) recommend(w http.ResponseWriter, r *http.Request) {
 		k = 1
 	}
 	recs := snap.Rec.RecommendTopK(basket, k)
-	enc := s.encoded(snap)
+	rt := snap.Rec.Sealed().Rules()
 	var out []json.RawMessage
 	for _, rec := range recs {
-		out = append(out, enc.blob(snap, rec))
+		out = append(out, rt.Blob(rec.Idx))
 	}
 	s.shadowScore(snap, req.Basket, recs)
 	writeRecommendResponse(w, out, snap.Version)
@@ -581,7 +565,7 @@ func (s *Server) recommendBatch(w http.ResponseWriter, r *http.Request) {
 		Results:      make([]batchResult, len(req.Baskets)),
 		ModelVersion: snap.Version,
 	}
-	enc := s.encoded(snap)
+	rt := snap.Rec.Sealed().Rules()
 	var scored atomic.Int64
 	par.For(par.Workers(0), len(req.Baskets), func(i int) {
 		one := &req.Baskets[i]
@@ -597,7 +581,7 @@ func (s *Server) recommendBatch(w http.ResponseWriter, r *http.Request) {
 		recs := snap.Rec.RecommendTopK(basket, k)
 		out := make([]json.RawMessage, 0, len(recs))
 		for _, rec := range recs {
-			out = append(out, enc.blob(snap, rec))
+			out = append(out, rt.Blob(rec.Idx))
 		}
 		resp.Results[i].Recommendations = out
 		scored.Add(1)
@@ -680,53 +664,24 @@ func (s *Server) feedbackStats(w http.ResponseWriter, r *http.Request) {
 
 // RegisterSnapshot feeds a freshly promoted snapshot's rule projections
 // into the feedback collector — the glue callers hang on
-// registry.Options.OnPromote. It walks the final rules in MPF order and
-// then the per-item alternates, so the projection list (and therefore
-// the collector's model content key) is deterministic for a given
-// model.
+// registry.Options.OnPromote. The sealed rule table lists the final rules
+// in MPF order and then the per-item alternates not already among them,
+// so the projection list (and therefore the collector's model content
+// key) is deterministic for a given model. IDs are cloned out of the
+// image: the collector outlives the snapshot, and a zero-copy string
+// would dangle once a mapped arena is unmapped on drain.
 func RegisterSnapshot(fb *feedback.Collector, snap *registry.Snapshot) {
-	if sm := snap.Rec.Sealed(); sm != nil {
-		// The sealed rule table is already final-then-alternates with
-		// duplicates removed — the identical order the heap walk below
-		// produces. IDs are cloned out of the mapping: the collector
-		// outlives the snapshot, and a zero-copy string would dangle once
-		// the arena is unmapped on drain.
-		rt := sm.Rules()
-		projs := make([]feedback.RuleProjection, 0, rt.N())
-		for i := int32(0); int(i) < rt.N(); i++ {
-			promo := snap.Cat.Promo(model.PromoID(rt.HeadPromo[i]))
-			projs = append(projs, feedback.RuleProjection{
-				ID:     strings.Clone(rt.ID(i)),
-				ProfRe: rt.ProfRe[i],
-				Conf:   float64(rt.Hits[i]) / float64(rt.BodyCount[i]),
-				Price:  promo.Price,
-				Cost:   promo.Cost,
-			})
-		}
-		if err := fb.RegisterModel(snap.Version, snap.Hash, projs); err != nil {
-			log.Printf("serve: registering model v%d with feedback collector: %v", snap.Version, err)
-		}
-		return
-	}
-	space := snap.Rec.Space()
-	final, alt := snap.Rec.Rules(), snap.Rec.Alternates()
-	seen := make(map[*rules.Rule]bool, len(final)+len(alt))
-	projs := make([]feedback.RuleProjection, 0, len(final)+len(alt))
-	for _, rs := range [][]*rules.Rule{final, alt} {
-		for _, rule := range rs {
-			if seen[rule] {
-				continue
-			}
-			seen[rule] = true
-			promo := snap.Cat.Promo(space.PromoOf(rule.Head))
-			projs = append(projs, feedback.RuleProjection{
-				ID:     snap.Rec.RuleID(rule),
-				ProfRe: rule.ProfRe(),
-				Conf:   rule.Conf(),
-				Price:  promo.Price,
-				Cost:   promo.Cost,
-			})
-		}
+	rt := snap.Rec.Sealed().Rules()
+	projs := make([]feedback.RuleProjection, 0, rt.N())
+	for i := int32(0); int(i) < rt.N(); i++ {
+		promo := snap.Cat.Promo(model.PromoID(rt.HeadPromo[i]))
+		projs = append(projs, feedback.RuleProjection{
+			ID:     strings.Clone(rt.ID(i)),
+			ProfRe: rt.ProfRe[i],
+			Conf:   rt.Conf(i),
+			Price:  promo.Price,
+			Cost:   promo.Cost,
+		})
 	}
 	if err := fb.RegisterModel(snap.Version, snap.Hash, projs); err != nil {
 		log.Printf("serve: registering model v%d with feedback collector: %v", snap.Version, err)
@@ -758,89 +713,9 @@ func (s *Server) shadowScore(active *registry.Snapshot, wire []saleJSON, activeR
 	// Compare structurally (names and promo index), since item and promo
 	// IDs are private to each snapshot's catalog.
 	agreed := active.Cat.Item(a.Item).Name == cand.Cat.Item(c.Item).Name &&
-		promoIndex(active.Cat, a.Item, a.Promo) == promoIndex(cand.Cat, c.Item, c.Promo)
+		core.PromoIndex(active.Cat, a.Item, a.Promo) == core.PromoIndex(cand.Cat, c.Item, c.Promo)
 	delta := cand.Cat.Promo(c.Promo).Profit() - active.Cat.Promo(a.Promo).Profit()
 	s.reg.RecordShadow(cand, agreed, delta, nil)
-}
-
-// promoIndex maps a promo ID back to its wire-format index within its
-// item's ladder (-1 if absent, which cannot happen for a valid model).
-func promoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int {
-	return core.PromoIndex(cat, item, promo)
-}
-
-// encodeRecommendation renders one recommendation against the snapshot
-// that produced it.
-// encCache maps every rule of one snapshot to its fully marshaled
-// recommendationJSON. All fields of that object — item, promo economics,
-// measures, the rendered rule and its covering-tree explanation — are
-// functions of the fired rule alone, so the per-request response encode
-// reduces to splicing cached json.RawMessage blobs into the envelope.
-// On the profiled /recommend path this removes the fmt rendering and
-// float formatting that dominated request time.
-type encCache struct {
-	snap  *registry.Snapshot
-	blobs map[*rules.Rule]json.RawMessage
-
-	// sealed short-circuits the cache for arena-backed snapshots: the
-	// blobs were marshaled at seal time and live in the mapped file, so
-	// there is nothing to build and nothing on the heap.
-	sealed *arena.RuleTable
-}
-
-// encoded returns the snapshot's blob cache, building it on first use
-// after a promotion (one O(rules) marshal pass; concurrent rebuilds are
-// idempotent and the maps are immutable once published). Sealed
-// snapshots skip the pass entirely: their blob pool is the file.
-func (s *Server) encoded(snap *registry.Snapshot) *encCache {
-	if c := s.enc.Load(); c != nil && c.snap == snap {
-		return c
-	}
-	if sm := snap.Rec.Sealed(); sm != nil {
-		c := &encCache{snap: snap, sealed: sm.Rules()}
-		s.enc.Store(c)
-		return c
-	}
-	space := snap.Rec.Space()
-	final, alt := snap.Rec.Rules(), snap.Rec.Alternates()
-	c := &encCache{snap: snap, blobs: make(map[*rules.Rule]json.RawMessage, len(final)+len(alt))}
-	for _, rs := range [][]*rules.Rule{final, alt} {
-		for _, rule := range rs {
-			if _, ok := c.blobs[rule]; ok {
-				continue
-			}
-			rec := core.Recommendation{Item: space.ItemOf(rule.Head), Promo: space.PromoOf(rule.Head), Rule: rule}
-			c.blobs[rule] = marshalRecommendation(snap, rec)
-		}
-	}
-	s.enc.Store(c)
-	return c
-}
-
-// blob returns the marshaled recommendation: straight out of the
-// mapped blob pool for sealed snapshots, from the cache (or marshaled
-// on the fly, for rules outside the cached sets) otherwise.
-//
-//hot:path
-func (c *encCache) blob(snap *registry.Snapshot, rec core.Recommendation) json.RawMessage {
-	if c.sealed != nil {
-		if rec.Idx >= 0 {
-			return json.RawMessage(c.sealed.Blob(rec.Idx))
-		}
-		return json.RawMessage(`{"error":"unencodable recommendation"}`)
-	}
-	if b, ok := c.blobs[rec.Rule]; ok {
-		return b
-	}
-	return marshalRecommendation(snap, rec)
-}
-
-func marshalRecommendation(snap *registry.Snapshot, rec core.Recommendation) json.RawMessage {
-	return core.MarshalWire(snap.Cat, snap.Rec, rec)
-}
-
-func encodeRecommendation(snap *registry.Snapshot, rec core.Recommendation) recommendationJSON {
-	return core.EncodeWire(snap.Cat, snap.Rec, rec)
 }
 
 func decodeBasket(cat *model.Catalog, sales []saleJSON) (model.Basket, error) {
@@ -921,7 +796,7 @@ func writeBuf(w http.ResponseWriter, code int, buf *bytes.Buffer) {
 	}
 }
 
-// appendRecList writes a recommendation list by splicing the cached
+// appendRecList writes a recommendation list by splicing the sealed
 // blobs verbatim. Pushing json.RawMessage through json.Encoder instead
 // would re-compact (re-scan) every blob per request — on the profiled
 // hot path that re-validation was the single largest cost after the
@@ -943,7 +818,7 @@ func appendRecList(buf *bytes.Buffer, recs []json.RawMessage) {
 }
 
 // writeRecommendResponse streams the /recommend envelope into a pooled
-// buffer: cached blobs spliced verbatim, only the envelope written per
+// buffer: sealed blobs spliced verbatim, only the envelope written per
 // request. Byte-identical to encoding recommendResponse.
 func writeRecommendResponse(w http.ResponseWriter, recs []json.RawMessage, version int) {
 	buf := bufPool.Get().(*bytes.Buffer)
