@@ -237,18 +237,14 @@ func parse(a *Arena) (*Model, error) {
 		want(SecPromoItem, 4*promos, "promo items"),
 		want(SecPromoEcon, 8*3*promos, "promo economics"),
 		want(SecExpOff, 4*(promos+2), "expansion offsets"),
-		want(SecRuleBodyOff, 4*(rcount+1), "rule body offsets"),
-		want(SecRuleHead, 4*rcount, "rule heads"),
+		want(SecRuleBodyLen, 4*rcount, "rule body lengths"),
 		want(SecRuleHeadItem, 4*rcount, "rule head items"),
 		want(SecRuleHeadPromo, 4*rcount, "rule head promos"),
 		want(SecRuleBodyCount, 4*rcount, "rule body counts"),
 		want(SecRuleHits, 4*rcount, "rule hits"),
 		want(SecRuleOrder, 4*rcount, "rule orders"),
-		want(SecRuleProfit, 8*rcount, "rule profits"),
 		want(SecRuleProfRe, 8*rcount, "rule prof_re"),
 		want(SecRuleIDPool, RuleIDLen*rcount, "rule IDs"),
-		want(SecRuleStrOff, 4*(rcount+1), "rule string offsets"),
-		want(SecRuleExplainOff, 4*(rcount+1), "rule explain offsets"),
 		want(SecRuleBlobOff, 8*(rcount+1), "rule blob offsets"),
 	}
 	for _, err := range checks {
@@ -271,21 +267,14 @@ func parse(a *Arena) (*Model, error) {
 		sec:  sec,
 		exp:  expansions{off: alias[int32](sec(SecExpOff)), pool: alias[genID](sec(SecExpPool))},
 		rt: RuleTable{
-			BodyOff:   alias[int32](sec(SecRuleBodyOff)),
-			BodyPool:  alias[genID](sec(SecRuleBodyPool)),
-			Head:      alias[genID](sec(SecRuleHead)),
 			HeadItem:  alias[int32](sec(SecRuleHeadItem)),
 			HeadPromo: alias[int32](sec(SecRuleHeadPromo)),
 			BodyCount: alias[int32](sec(SecRuleBodyCount)),
 			Hits:      alias[int32](sec(SecRuleHits)),
 			Order:     alias[int32](sec(SecRuleOrder)),
-			Profit:    alias[float64](sec(SecRuleProfit)),
 			ProfRe:    alias[float64](sec(SecRuleProfRe)),
+			bodyLen:   alias[int32](sec(SecRuleBodyLen)),
 			idPool:    sec(SecRuleIDPool),
-			strOff:    alias[int32](sec(SecRuleStrOff)),
-			strPool:   sec(SecRuleStrPool),
-			explOff:   alias[int32](sec(SecRuleExplainOff)),
-			explPool:  sec(SecRuleExplainPool),
 			blobOff:   alias[int64](sec(SecRuleBlobOff)),
 			blobPool:  sec(SecRuleBlobPool),
 		},
@@ -297,22 +286,14 @@ func parse(a *Arena) (*Model, error) {
 	// exactly, so a truncated tail cannot produce an out-of-range slice
 	// on the very first lookup.
 	if rcount > 0 {
-		if err := checkPoolBounds(m.rt.BodyOff, 4, secs[SecRuleBodyPool].len, "rule body"); err != nil {
-			return nil, err
-		}
-		if err := checkPoolBounds(m.rt.strOff, 1, secs[SecRuleStrPool].len, "rule string"); err != nil {
-			return nil, err
-		}
-		if err := checkPoolBounds(m.rt.explOff, 1, secs[SecRuleExplainPool].len, "rule explain"); err != nil {
-			return nil, err
-		}
 		if err := checkPoolBounds64(m.rt.blobOff, secs[SecRuleBlobPool].len, "rule blob"); err != nil {
 			return nil, err
 		}
 	}
-	// The O(1) budget of parse ends here: the expansion-offset and
-	// catalog scans are linear in the hierarchy and item count, so they
-	// run in Verify — the once-per-staging O(file) gate — not per open.
+	// The O(1) budget of parse ends here: the interior scans (expansion
+	// and blob offsets, head columns, tries, catalog) are linear in the
+	// model, so they run in Verify — the once-per-staging O(file) gate —
+	// not per open.
 	return m, nil
 }
 
@@ -345,13 +326,6 @@ func aliasTrie(sec func(int) []byte, base int, rootHi int32, rcount int, what st
 		}
 	}
 	return t, nil
-}
-
-func checkPoolBounds(off []int32, elem, poolLen int, what string) error {
-	if off[0] != 0 || int(off[len(off)-1])*elem != poolLen {
-		return errf("%s offsets [%d..%d] do not bracket their %d-byte pool", what, off[0], off[len(off)-1], poolLen)
-	}
-	return nil
 }
 
 func checkPoolBounds64(off []int64, poolLen int, what string) error {
@@ -405,7 +379,8 @@ func encodeMeta(m Meta) []byte {
 	return b
 }
 
-// Verify recomputes the whole-file checksum against the stored digest:
+// Verify recomputes the whole-file checksum against the stored digest,
+// then scans every interior offset and index the serving path follows:
 // the integrity gate every staging path runs once per new content
 // hash. O(file size), unlike Open.
 func (m *Model) Verify() error {
@@ -419,6 +394,15 @@ func (m *Model) Verify() error {
 	// implies them; they exist so a hand-crafted file with a consistent
 	// checksum still cannot push invalid offsets past the trust gate.
 	if err := m.exp.validate(len(m.sec(SecExpPool))); err != nil {
+		return err
+	}
+	if err := m.rt.validate(m.meta); err != nil {
+		return err
+	}
+	if err := m.trie.validate(m.meta.NumRules, "matcher trie"); err != nil {
+		return err
+	}
+	if err := m.alt.validate(m.meta.NumRules, "alternates trie"); err != nil {
 		return err
 	}
 	return validateCatalog(m.meta, m.sec)

@@ -2,6 +2,7 @@ package arena_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"profitmining/internal/datagen"
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/mining"
+	"profitmining/internal/model"
 	"profitmining/internal/modelio"
 )
 
@@ -139,6 +141,7 @@ func TestHeaderCorruption(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) { b[0] ^= 0xFF }},
 		{"bad version", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 99) }},
+		{"version 1 image", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1) }},
 		{"wrong file size", func(b []byte) { binary.LittleEndian.PutUint64(b[48:], uint64(len(b)+8)) }},
 		{"wrong section count", func(b []byte) { binary.LittleEndian.PutUint32(b[56:], 7) }},
 		{"misaligned section offset", func(b []byte) {
@@ -160,6 +163,130 @@ func TestHeaderCorruption(t *testing.T) {
 			t.Errorf("%s: Open accepted the damaged header", tc.name)
 		}
 	}
+}
+
+// secStart returns the file offset where section sec begins.
+func secStart(b []byte, sec int) int {
+	return int(binary.LittleEndian.Uint64(b[64+16*sec:]))
+}
+
+// resealed returns a copy of data changed by mut, with the header
+// checksum recomputed so the change survives the digest check — a
+// hand-crafted file rather than a corrupt one.
+func resealed(data []byte, mut func(b []byte)) []byte {
+	b := append([]byte(nil), data...)
+	mut(b)
+	reseal(b)
+	return b
+}
+
+// reseal recomputes the stored sha256 over b[48:] into b[16:48).
+func reseal(b []byte) {
+	if len(b) >= arena.HeaderPrefixLen {
+		sum := sha256.Sum256(b[arena.HeaderPrefixLen:])
+		copy(b[16:arena.HeaderPrefixLen], sum[:])
+	}
+}
+
+// crafted is a sealed image with a consistent checksum but one interior
+// offset or index out of range.
+type crafted struct {
+	name string
+	img  []byte
+}
+
+// craftedImages derives the crafted images from a good one. The first
+// two used to pass Verify and then panic the serving path: an escaping
+// blob offset in Blob, an escaping alternate rule index in
+// RecommendTopK.
+func craftedImages(data []byte) []crafted {
+	put32 := func(sec, i int, v int32) func(b []byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[secStart(b, sec)+4*i:], uint32(v)) }
+	}
+	return []crafted{
+		{"blob offset past the pool", resealed(data, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[secStart(b, arena.SecRuleBlobOff)+8:], 1<<40)
+		})},
+		{"alternate rule index past the table", resealed(data, put32(arena.SecAltRules, 0, 1<<30))},
+		{"trie rule index negative", resealed(data, put32(arena.SecTrieRules, 0, -1))},
+		{"trie child block past the nodes", resealed(data, put32(arena.SecTrieChildHi, 0, 1<<30))},
+		{"trie child block loops back to the root block", resealed(data, put32(arena.SecTrieChildLo, 0, 0))},
+		{"alternates rule block reversed", resealed(data, put32(arena.SecAltRuleLo, 0, 1<<30))},
+		{"head item zero", resealed(data, put32(arena.SecRuleHeadItem, 0, 0))},
+		{"head promo past the catalog", resealed(data, put32(arena.SecRuleHeadPromo, 0, 1<<30))},
+	}
+}
+
+// TestVerifyRejectsCraftedInteriors pins that a consistent checksum is
+// not enough: Verify's interior scans reject every crafted image, and
+// so does LoadBytes, the gate in front of the registry.
+func TestVerifyRejectsCraftedInteriors(t *testing.T) {
+	data, _ := sealedGrocery(t)
+	for _, c := range craftedImages(data) {
+		if m, err := arena.OpenBytes(c.img); err == nil {
+			if err := m.Verify(); err == nil {
+				t.Errorf("%s: Verify accepted the image", c.name)
+			}
+		}
+		if _, _, err := modelio.LoadBytes(c.img); err == nil {
+			t.Errorf("%s: LoadBytes accepted the image", c.name)
+		}
+	}
+}
+
+// FuzzSealedImage fuzzes the sealed-image trust boundary. Every input
+// has its checksum recomputed, so mutations reach the structural checks
+// instead of dying at the digest. Either OpenBytes or Verify rejects
+// the image, or every read the serving path makes — each row's blob,
+// string and ID, and top-5 over fixed probe baskets — returns without
+// panicking.
+func FuzzSealedImage(f *testing.F) {
+	data, _ := sealedGrocery(f)
+	f.Add(data)
+	for _, c := range craftedImages(data) {
+		f.Add(c.img)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		img := append([]byte(nil), in...)
+		reseal(img)
+		m, err := arena.OpenBytes(img)
+		if err != nil {
+			return
+		}
+		if err := m.Verify(); err != nil {
+			return
+		}
+		rt := m.Rules()
+		for i := int32(0); int(i) < rt.N(); i++ {
+			_, _, _ = rt.Blob(i), rt.String(i), rt.ID(i)
+			_ = rt.ExplainJoined(i)
+		}
+		rec, err := core.FromSealed(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bk := range probeBaskets(m.Meta().NumPromos) {
+			rec.RecommendTopK(bk, 5)
+		}
+	})
+}
+
+// probeBaskets returns fixed baskets over promos 1..promos — the range
+// a basket decoded against the image's catalog can hold — from empty
+// up to wider than the k-way expansion merge handles.
+func probeBaskets(promos int) []model.Basket {
+	out := []model.Basket{nil}
+	if promos == 0 {
+		return out
+	}
+	for w := 1; w <= 20; w++ {
+		bk := make(model.Basket, w)
+		for j := range bk {
+			bk[j].Promo = model.PromoID(1 + (7*j+3*w)%promos)
+		}
+		out = append(out, bk)
+	}
+	return out
 }
 
 func TestHeaderHashErrors(t *testing.T) {

@@ -1,9 +1,11 @@
 // Package arena implements the sealed, zero-copy on-disk model format
 // (modelio format v3): one contiguous little-endian file whose sections
 // — catalog tables, pooled expansion lists, the flattened matcher tries
-// exactly as rules.Matcher seals them, columnar rule records with
-// stable IDs, and pre-marshaled recommendation blobs — are fixed-layout
-// segments addressed by a header of offsets, with a whole-file sha256.
+// exactly as rules.Matcher seals them, the rank columns and stable IDs
+// of every servable rule, and its pre-marshaled recommendation blob —
+// are fixed-layout segments addressed by a header of offsets, with a
+// whole-file sha256. The rule table stores only what serving reads;
+// the rule string and explanation lines are derived from the blob.
 //
 // Opening a sealed file is mmap (or a pure-Go ReadFile fallback) plus
 // O(#sections) pointer fixup into index-based views: no per-rule work,
@@ -14,7 +16,7 @@
 // # Layout
 //
 //	offset 0   magic "PMARENA1" (8 bytes)
-//	offset 8   format version (u32) — currently 1
+//	offset 8   format version (u32) — currently 2
 //	offset 12  reserved (u32)
 //	offset 16  sha256 over file[48:end] (32 bytes)
 //	offset 48  file size (u64) — must equal the actual length
@@ -36,24 +38,25 @@
 //     slices) can alias the mapping directly.
 //   - Open performs only O(#sections) structural validation — never
 //     O(rules) or O(items). A truncated file or a damaged header fails
-//     Open; payload bit-flips and the linear structural scans
-//     (expansion offsets, catalog bounds) are Verify's job, which
-//     stagers (registry, cluster sync, profitminer -seal) run once per
-//     new content hash. Catalog materialization is deferred to the
-//     first Catalog call and memoized.
+//     Open; payload bit-flips and the linear structural scans (every
+//     interior offset and index the serving path follows) are Verify's
+//     job, which stagers (registry, cluster sync, profitminer -seal)
+//     run once per new content hash. Catalog materialization is
+//     deferred to the first Catalog call and memoized.
 //   - Views index into one global rule table; *rules.Rule pointers
 //     never exist for a sealed model, which is what makes open time
 //     independent of model size.
 package arena
 
-// magic identifies a sealed model file; the trailing digit is the
-// layout generation, bumped together with formatVersion on any
-// incompatible change.
+// magic identifies a sealed model file. It stays fixed across layout
+// changes, so an image of an older layout is still recognised as
+// sealed and rejected by its version field rather than misread as
+// another format.
 const magic = "PMARENA1"
 
 // formatVersion is the sealed-format version this package reads and
 // writes.
-const formatVersion = 1
+const formatVersion = 2
 
 // checksumStart is the file offset the stored sha256 covers from.
 const checksumStart = 48
@@ -63,7 +66,7 @@ const checksumStart = 48
 // sealed file without reading its body.
 const HeaderPrefixLen = checksumStart
 
-// Section indices. The table is fixed: a format-v1 file has exactly
+// Section indices. The table is fixed: a format-v2 file has exactly
 // these sections in this order.
 const (
 	SecMeta = iota // fixed-size counts + build stats (metaSize bytes)
@@ -81,23 +84,18 @@ const (
 
 	// Columnar rule table: final rules in MPF rank order, then the
 	// per-item alternates (in matcher trie order) not already present.
-	SecRuleBodyOff     // int32[R+1] offsets into SecRuleBodyPool
-	SecRuleBodyPool    // GenID[...]
-	SecRuleHead        // GenID[R]
-	SecRuleHeadItem    // int32[R] head item ID
-	SecRuleHeadPromo   // int32[R] head promo ID
-	SecRuleBodyCount   // int32[R] support count N
-	SecRuleHits        // int32[R]
-	SecRuleOrder       // int32[R]
-	SecRuleProfit      // float64[R] Prof_ru
-	SecRuleProfRe      // float64[R] Prof_re (Profit/BodyCount, sealed so ranking reads one column)
-	SecRuleIDPool      // byte[RuleIDLen*R] stable IDs, fixed records
-	SecRuleStrOff      // int32[R+1] offsets into SecRuleStrPool
-	SecRuleStrPool     // rendered rule strings
-	SecRuleExplainOff  // int32[R+1] offsets into SecRuleExplainPool
-	SecRuleExplainPool // explain lines, '\n'-joined per rule
-	SecRuleBlobOff     // int64[R+1] offsets into SecRuleBlobPool
-	SecRuleBlobPool    // pre-marshaled recommendation JSON blobs
+	// Only what serving reads is stored: the four MPF rank keys, the
+	// head, the stable ID and the response blob.
+	SecRuleBodyLen   // int32[R] body length, the third rank key
+	SecRuleHeadItem  // int32[R] head item ID
+	SecRuleHeadPromo // int32[R] head promo ID
+	SecRuleBodyCount // int32[R] support count N
+	SecRuleHits      // int32[R]
+	SecRuleOrder     // int32[R]
+	SecRuleProfRe    // float64[R] Prof_re (Profit/BodyCount, sealed so ranking reads one column)
+	SecRuleIDPool    // byte[RuleIDLen*R] stable IDs, fixed records
+	SecRuleBlobOff   // int64[R+1] offsets into SecRuleBlobPool
+	SecRuleBlobPool  // pre-marshaled WireRecommendation JSON blobs
 
 	// Flattened matcher trie over the final rules (rules.Matcher's
 	// sealed layout; rule lists hold global rule-table indices).
@@ -122,7 +120,7 @@ const (
 )
 
 // headerSize is where the first section may start: fixed header plus
-// the section table. 64 + 16*39 = 688, already 8-byte aligned.
+// the section table. 64 + 16*32 = 576, already 8-byte aligned.
 const headerSize = 64 + 16*NumSections
 
 // RuleIDLen is the fixed width of one stable rule ID ("r" + 16 hex

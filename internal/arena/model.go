@@ -2,7 +2,9 @@ package arena
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 
 	"profitmining/internal/hierarchy"
@@ -96,38 +98,45 @@ func (e expansions) validate(poolBytes int) error {
 // by the per-item alternates not already present. All slices alias the
 // mapping; none may be modified.
 type RuleTable struct {
-	BodyOff   []int32
-	BodyPool  []genID
-	Head      []genID
 	HeadItem  []int32
 	HeadPromo []int32
 	BodyCount []int32
 	Hits      []int32
 	Order     []int32
-	Profit    []float64
 	ProfRe    []float64
 
+	bodyLen  []int32
 	idPool   []byte
-	strOff   []int32
-	strPool  []byte
-	explOff  []int32
-	explPool []byte
 	blobOff  []int64
 	blobPool []byte
 }
 
-// N returns the number of rules in the table.
-func (t *RuleTable) N() int { return len(t.Head) }
-
-// Body returns rule i's sorted body.
-func (t *RuleTable) Body(i int32) []genID {
-	return t.BodyPool[t.BodyOff[i]:t.BodyOff[i+1]]
+// WireRecommendation is the serving wire shape of one scored
+// recommendation — the object POST /recommend returns per slot. Model
+// sealing marshals one per rule into the blob pool, which the HTTP
+// layer serves verbatim and String and ExplainJoined decode. Field
+// order is part of the wire contract; do not reorder.
+type WireRecommendation struct {
+	Item    string   `json:"item"`
+	PromoIx int      `json:"promoIx"`
+	Price   float64  `json:"price"`
+	Cost    float64  `json:"cost"`
+	Packing float64  `json:"packing"`
+	Profit  float64  `json:"profitPerSale"`
+	ProfRe  float64  `json:"profRe"`
+	Conf    float64  `json:"confidence"`
+	RuleID  string   `json:"ruleID"`
+	Rule    string   `json:"rule"`
+	Explain []string `json:"explain,omitempty"`
 }
 
-// BodyLen returns len(body) for rule i without slicing.
+// N returns the number of rules in the table.
+func (t *RuleTable) N() int { return len(t.HeadItem) }
+
+// BodyLen returns len(body) for rule i.
 //
 //hot:path
-func (t *RuleTable) BodyLen(i int32) int32 { return t.BodyOff[i+1] - t.BodyOff[i] }
+func (t *RuleTable) BodyLen(i int32) int32 { return t.bodyLen[i] }
 
 // ID returns rule i's stable content-hash identity ("r"+16 hex,
 // rules.StableID) as a zero-copy string over the mapping.
@@ -137,16 +146,28 @@ func (t *RuleTable) ID(i int32) string {
 	return byteString(t.idPool[int(i)*RuleIDLen : (int(i)+1)*RuleIDLen])
 }
 
-// String returns rule i rendered with its measures, as
-// rules.Rule.String produced it at seal time. Zero-copy.
-func (t *RuleTable) String(i int32) string {
-	return byteString(t.strPool[t.strOff[i]:t.strOff[i+1]])
+// wire decodes rule i's blob, or returns the zero value for a blob
+// that is not a WireRecommendation (a partial decode is discarded).
+func (t *RuleTable) wire(i int32) WireRecommendation {
+	var w WireRecommendation
+	if json.Unmarshal(t.Blob(i), &w) != nil {
+		return WireRecommendation{}
+	}
+	return w
 }
 
-// ExplainJoined returns rule i's explanation lines joined with '\n'
-// (the covering-tree lineage rendered at seal time). Zero-copy.
+// String returns rule i rendered with its measures, as
+// rules.Rule.String produced it at seal time, or "" if the blob does
+// not decode. It decodes the blob; the /recommend path never calls it.
+func (t *RuleTable) String(i int32) string {
+	return t.wire(i).Rule
+}
+
+// ExplainJoined returns rule i's explanation lines (the covering-tree
+// lineage rendered at seal time) joined with '\n', or "" if the blob
+// does not decode.
 func (t *RuleTable) ExplainJoined(i int32) string {
-	return byteString(t.explPool[t.explOff[i]:t.explOff[i+1]])
+	return strings.Join(t.wire(i).Explain, "\n")
 }
 
 // Blob returns rule i's pre-marshaled recommendation JSON, served
@@ -185,6 +206,28 @@ func (t *RuleTable) Outranks(a, b int32) bool {
 	return t.Order[a] < t.Order[b]
 }
 
+// validate scans the blob offsets and head columns — O(rules) — so
+// Blob never slices outside the pool and HeadItem, which indexes
+// top-K's per-item table, stays in range.
+func (t *RuleTable) validate(meta Meta) error {
+	prev := int64(0)
+	for i, off := range t.blobOff {
+		if off < prev || off > int64(len(t.blobPool)) {
+			return errf("blob offset %d at rule %d escapes its %d-byte pool or runs backwards", off, i, len(t.blobPool))
+		}
+		prev = off
+	}
+	for i, item := range t.HeadItem {
+		if item < 1 || int(item) > meta.NumItems {
+			return errf("rule %d head references unknown item %d", i, item)
+		}
+		if promo := t.HeadPromo[i]; promo < 1 || int(promo) > meta.NumPromos {
+			return errf("rule %d head references unknown promo %d", i, promo)
+		}
+	}
+	return nil
+}
+
 // Trie is the sealed form of rules.Matcher's flattened trie: node i's
 // children occupy nodes [ChildLo[i], ChildHi[i]) and its rules occupy
 // Rules[RuleLo[i]:RuleHi[i]] as global rule-table indices. The root's
@@ -195,6 +238,34 @@ type Trie struct {
 	Rules                            []int32
 	Defaults                         []int32
 	RootHi                           int32
+}
+
+// validate scans the node and rule-list columns — O(nodes + rule
+// entries) — so the trie walks never step outside a column and every
+// rule they yield indexes the rcount-rule table. Child blocks must tile
+// the nodes after the root block in order, as the BFS flattening lays
+// them out: then every node has at most one parent, so a walk visits
+// each node at most once instead of looping back through an ancestor.
+func (t *Trie) validate(rcount int, what string) error {
+	next := t.RootHi
+	for i := range t.Item {
+		if lo, hi := t.ChildLo[i], t.ChildHi[i]; lo != next || hi < lo || int(hi) > len(t.Item) {
+			return errf("%s node %d child block [%d,%d) does not start at %d or escapes its %d nodes", what, i, lo, hi, next, len(t.Item))
+		}
+		next = t.ChildHi[i]
+		if lo, hi := t.RuleLo[i], t.RuleHi[i]; lo < 0 || lo > hi || int(hi) > len(t.Rules) {
+			return errf("%s node %d rule block [%d,%d) escapes its %d-entry rule list", what, i, lo, hi, len(t.Rules))
+		}
+	}
+	if int(next) != len(t.Item) {
+		return errf("%s child blocks end at node %d of %d", what, next, len(t.Item))
+	}
+	for i, r := range t.Rules {
+		if r < 0 || int(r) >= rcount {
+			return errf("%s rule entry %d is index %d, outside the %d-rule table", what, i, r, rcount)
+		}
+	}
+	return nil
 }
 
 // validateCatalog bounds-checks the catalog sections at open —

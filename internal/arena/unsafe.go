@@ -42,8 +42,7 @@ func asBytes[T any](v []T) []byte {
 }
 
 // byteString views b as a string without copying — the zero-alloc path
-// for rule IDs and rendered rule strings served straight from the
-// mapping. The string is valid for as long as the arena stays mapped;
+// for rule IDs served straight from the mapping. The string is valid for as long as the arena stays mapped;
 // everything handed out lives behind a Model, which keeps its Arena
 // reachable.
 func byteString(b []byte) string {

@@ -3,27 +3,9 @@ package core
 import (
 	"encoding/json"
 
+	"profitmining/internal/arena"
 	"profitmining/internal/model"
 )
-
-// WireRecommendation is the serving wire shape of one scored
-// recommendation — the object POST /recommend returns per slot. It
-// lives in core (not the HTTP layer) because model sealing pre-marshals
-// these objects into the arena blob pool, which the HTTP layer serves
-// verbatim. Field order is part of the wire contract; do not reorder.
-type WireRecommendation struct {
-	Item    string   `json:"item"`
-	PromoIx int      `json:"promoIx"`
-	Price   float64  `json:"price"`
-	Cost    float64  `json:"cost"`
-	Packing float64  `json:"packing"`
-	Profit  float64  `json:"profitPerSale"`
-	ProfRe  float64  `json:"profRe"`
-	Conf    float64  `json:"confidence"`
-	RuleID  string   `json:"ruleID"`
-	Rule    string   `json:"rule"`
-	Explain []string `json:"explain,omitempty"`
-}
 
 // PromoIndex maps a promo ID back to its wire-format index within its
 // item's ladder (-1 if absent, which cannot happen for a valid model).
@@ -37,12 +19,12 @@ func PromoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int 
 }
 
 // MarshalWire renders one recommendation of a heap-backed recommender
-// against its catalog. Every field is a function of the fired rule
-// alone, which is what lets the sealed arena precompute the marshaled
-// form per rule.
+// against its catalog as an arena.WireRecommendation. Every field is a
+// function of the fired rule alone, which is what lets the sealed arena
+// precompute the marshaled form per rule.
 func MarshalWire(cat *model.Catalog, r *Recommender, rec Recommendation) json.RawMessage {
 	promo := cat.Promo(rec.Promo)
-	data, err := json.Marshal(WireRecommendation{
+	data, err := json.Marshal(arena.WireRecommendation{
 		Item:    cat.Item(rec.Item).Name,
 		PromoIx: PromoIndex(cat, rec.Item, rec.Promo),
 		Price:   promo.Price,

@@ -6,11 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strings"
 
 	"profitmining/internal/arena"
 	"profitmining/internal/core"
-	"profitmining/internal/hierarchy"
 	"profitmining/internal/model"
 	"profitmining/internal/rules"
 )
@@ -87,9 +85,9 @@ func fromVerified(m *arena.Model) (*model.Catalog, *core.Recommender, error) {
 // Seal renders a heap-backed recommender into the sealed arena image.
 // The rule table lists the final rules in MPF rank order followed by
 // the per-item alternates (in matcher trie order) not already present —
-// the exact set and order the serving layer enumerates — and every
-// derived string and response blob is rendered here, once, so serving
-// never re-derives them.
+// the exact set and order the serving layer enumerates — and each
+// rule's response blob is rendered here, once, so serving never
+// re-derives it.
 func Seal(cat *model.Catalog, rec *core.Recommender) ([]byte, error) {
 	space := rec.Space()
 	if space == nil {
@@ -210,40 +208,32 @@ func sealCatalog(w *arena.Writer, cat *model.Catalog) error {
 	return nil
 }
 
-// sealRules fills the columnar rule table, rendering per-rule strings,
-// explanations, and response blobs through the same code paths the
-// live server uses — which is what makes sealed responses byte-equal.
+// sealRules fills the columnar rule table: the rank columns, head,
+// stable ID and response blob of each rule. The blob goes through the
+// same code path the live server uses, which is what makes sealed
+// responses byte-equal; the rule string and explanation lines are not
+// stored apart, because the blob carries both.
 func sealRules(w *arena.Writer, cat *model.Catalog, rec *core.Recommender, table []*rules.Rule) error {
 	space := rec.Space()
 	n := len(table)
-	bodyOff := make([]int32, n+1)
-	var bodyPool []hierarchy.GenID
-	head := make([]hierarchy.GenID, n)
+	bodyLen := make([]int32, n)
 	headItem := make([]int32, n)
 	headPromo := make([]int32, n)
 	bodyCount := make([]int32, n)
 	hits := make([]int32, n)
 	order := make([]int32, n)
-	profit := make([]float64, n)
 	profRe := make([]float64, n)
 	idPool := make([]byte, 0, n*arena.RuleIDLen)
-	strOff := make([]int32, n+1)
-	var strPool []byte
-	explOff := make([]int32, n+1)
-	var explPool []byte
 	blobOff := make([]int64, n+1)
 	var blobPool []byte
 
 	for i, r := range table {
-		bodyOff[i] = int32(len(bodyPool))
-		bodyPool = append(bodyPool, r.Body...)
-		head[i] = r.Head
+		bodyLen[i] = int32(len(r.Body))
 		headItem[i] = int32(space.ItemOf(r.Head))
 		headPromo[i] = int32(space.PromoOf(r.Head))
 		bodyCount[i] = int32(r.BodyCount)
 		hits[i] = int32(r.HitCount)
 		order[i] = int32(r.Order)
-		profit[i] = r.Profit
 		profRe[i] = r.ProfRe()
 
 		id := rec.RuleID(r)
@@ -252,9 +242,6 @@ func sealRules(w *arena.Writer, cat *model.Catalog, rec *core.Recommender, table
 		}
 		idPool = append(idPool, id...)
 
-		strOff[i] = int32(len(strPool))
-		strPool = append(strPool, r.String(space)...)
-
 		synth := core.Recommendation{
 			Item:  space.ItemOf(r.Head),
 			Promo: space.PromoOf(r.Head),
@@ -262,32 +249,19 @@ func sealRules(w *arena.Writer, cat *model.Catalog, rec *core.Recommender, table
 			ID:    id,
 			Idx:   -1,
 		}
-		explOff[i] = int32(len(explPool))
-		explPool = append(explPool, strings.Join(rec.Explain(synth), "\n")...)
-
 		blobOff[i] = int64(len(blobPool))
 		blobPool = append(blobPool, core.MarshalWire(cat, rec, synth)...)
 	}
-	bodyOff[n] = int32(len(bodyPool))
-	strOff[n] = int32(len(strPool))
-	explOff[n] = int32(len(explPool))
 	blobOff[n] = int64(len(blobPool))
 
-	w.PutI32(arena.SecRuleBodyOff, bodyOff)
-	w.PutGen(arena.SecRuleBodyPool, bodyPool)
-	w.PutGen(arena.SecRuleHead, head)
+	w.PutI32(arena.SecRuleBodyLen, bodyLen)
 	w.PutI32(arena.SecRuleHeadItem, headItem)
 	w.PutI32(arena.SecRuleHeadPromo, headPromo)
 	w.PutI32(arena.SecRuleBodyCount, bodyCount)
 	w.PutI32(arena.SecRuleHits, hits)
 	w.PutI32(arena.SecRuleOrder, order)
-	w.PutF64(arena.SecRuleProfit, profit)
 	w.PutF64(arena.SecRuleProfRe, profRe)
 	w.PutBytes(arena.SecRuleIDPool, idPool)
-	w.PutI32(arena.SecRuleStrOff, strOff)
-	w.PutBytes(arena.SecRuleStrPool, strPool)
-	w.PutI32(arena.SecRuleExplainOff, explOff)
-	w.PutBytes(arena.SecRuleExplainPool, explPool)
 	w.PutI64(arena.SecRuleBlobOff, blobOff)
 	w.PutBytes(arena.SecRuleBlobPool, blobPool)
 	return nil

@@ -15,6 +15,7 @@ import (
 	"profitmining/internal/mining"
 	"profitmining/internal/model"
 	"profitmining/internal/quest"
+	"profitmining/internal/rules"
 )
 
 // sealedWorld builds the grocery model (hierarchy, MOA, multi-promo
@@ -58,11 +59,40 @@ func sealedWorld(t testing.TB) (*model.Catalog, *core.Recommender, *core.Recomme
 
 // TestSealedCoreEquivalence pins the sealed recommender to the heap one
 // at the core API level: same pick, same top-K ranking, same rule IDs,
-// same explanation lineage, same wire blob, for every probe basket.
+// same explanation lineage, same wire blob, for every probe basket —
+// and the same rule string and explanation for every rule-table row,
+// both of which the sealed table derives from the row's blob.
 func TestSealedCoreEquivalence(t *testing.T) {
 	cat, heap, sealed, baskets := sealedWorld(t)
 	if got, want := sealed.Stats(), heap.Stats(); got != want {
 		t.Fatalf("sealed stats %+v != heap stats %+v", got, want)
+	}
+	// Rows in Seal's order: the final rules, then the alternates not
+	// already present.
+	space := heap.Space()
+	table := append([]*rules.Rule(nil), heap.Rules()...)
+	seen := make(map[*rules.Rule]bool, len(table))
+	for _, r := range table {
+		seen[r] = true
+	}
+	for _, r := range heap.Alternates() {
+		if !seen[r] {
+			seen[r] = true
+			table = append(table, r)
+		}
+	}
+	rt := sealed.Sealed().Rules()
+	if rt.N() != len(table) {
+		t.Fatalf("sealed rule table holds %d rows, heap model %d rules", rt.N(), len(table))
+	}
+	for i, r := range table {
+		if got, want := rt.String(int32(i)), r.String(space); got != want {
+			t.Fatalf("row %d: rule string %q, heap renders %q", i, got, want)
+		}
+		rec := core.Recommendation{Item: space.ItemOf(r.Head), Promo: space.PromoOf(r.Head), Rule: r}
+		if got, want := rt.ExplainJoined(int32(i)), strings.Join(heap.Explain(rec), "\n"); got != want {
+			t.Fatalf("row %d: explanation\n%s\nheap explains\n%s", i, got, want)
+		}
 	}
 	dst := make([]core.Recommendation, 0, 8)
 	for bi, bk := range baskets {

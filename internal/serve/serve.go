@@ -346,7 +346,7 @@ type recommendRequest struct {
 }
 
 // recommendResponse documents the POST /recommend wire shape. Each
-// recommendation is a core.WireRecommendation, marshaled once at seal
+// recommendation is an arena.WireRecommendation, marshaled once at seal
 // time into the image's blob pool. The hot path does not encode this
 // struct: writeRecommendResponse streams the identical bytes (pinned by
 // TestStreamedEnvelopesMatchEncoder).
