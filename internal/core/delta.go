@@ -102,7 +102,7 @@ func (d *TreeDelta) Update(txns []model.Transaction, expanded [][]hierarchy.GenI
 	if d.cfg.MinInterest > 1 {
 		filtered = rules.FilterInteresting(d.space, all, d.cfg.MinInterest)
 	}
-	kept := rules.RemoveDominated(d.space, filtered)
+	kept, alt := rules.NonDominated(d.space, all, filtered)
 
 	keptSet := make(map[*rules.Rule]bool, len(kept))
 	var added []*rules.Rule
@@ -218,7 +218,6 @@ func (d *TreeDelta) Update(txns []model.Transaction, expanded [][]hierarchy.GenI
 
 	final := collectRules(root)
 	rules.SortByRank(final)
-	alt := computeAlternates(d.space, all)
 	rec := assemble(d.space, root, final, alt, len(all), len(kept))
 
 	d.prevLen = len(txns)

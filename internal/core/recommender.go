@@ -178,7 +178,7 @@ func Build(space *hierarchy.Space, txns []model.Transaction, mined *mining.Resul
 		// The default rule has no generalization so it always survives
 		// the filter; the covering tree keeps its root.
 	}
-	kept := rules.RemoveDominated(space, filtered)
+	kept, alt := rules.NonDominated(space, all, filtered)
 
 	root := buildCoveringTree(space, kept, txns, workers)
 	eval := &pessimisticEvaluator{
@@ -200,8 +200,6 @@ func Build(space *hierarchy.Space, txns []model.Transaction, mined *mining.Resul
 	final := collectRules(root)
 	rules.SortByRank(final)
 
-	alt := computeAlternates(space, all)
-
 	return assemble(space, root, final, alt, len(all), len(kept)), nil
 }
 
@@ -220,27 +218,6 @@ func (cfg Config) normalized() (Config, error) {
 		return cfg, fmt.Errorf("core: negative Parallelism %d", cfg.Parallelism)
 	}
 	return cfg, nil
-}
-
-// computeAlternates derives the per-item alternate rules for top-K
-// recommendation: within each target item's rules, the usual domination
-// argument applies unchanged.
-func computeAlternates(space *hierarchy.Space, all []*rules.Rule) []*rules.Rule {
-	byItem := map[model.ItemID][]*rules.Rule{}
-	for _, rule := range all {
-		item := space.ItemOf(rule.Head)
-		byItem[item] = append(byItem[item], rule)
-	}
-	var alt []*rules.Rule
-	//lint:allow detguard -- group order is discarded: alt is re-sorted into the total MPF order below
-	for _, group := range byItem {
-		alt = append(alt, rules.RemoveDominated(space, group)...)
-	}
-	// Sort the concatenated groups back into rank order so the matcher
-	// layout — and anything that serializes the alternates, such as
-	// model persistence — is identical across runs.
-	rules.SortByRank(alt)
-	return alt
 }
 
 // assemble wires the derived serving structures — matchers, the

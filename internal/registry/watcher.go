@@ -112,7 +112,8 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 	// Sealed models carry their content hash in the first 48 bytes, so
 	// identifying one costs a header read per changed stat, not a
 	// whole-file hashing pass.
-	if hash, ok := w.sealedHeaderHash(); ok {
+	hash, sealed, headerErr := w.sealedHeaderHash()
+	if sealed && headerErr == nil {
 		return w.checkSealed(info, hash)
 	}
 
@@ -124,13 +125,20 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 	// raced a writer is retried next poll.
 	w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
 
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
+	hash = HashBytes(data)
 	activeVer, unchanged := w.dedupHash(hash)
 	if unchanged {
 		return nil, Unchanged, nil
 	}
 
+	if sealed {
+		// Sealed magic with a header no loader reads (an older format
+		// version, or a truncated prefix): reject with the header's own
+		// error, memoized by content hash like any other rejection.
+		w.lastRejected, w.lastHashActive = true, activeVer
+		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, hash, headerErr)
+		return nil, Rejected, fmt.Errorf("load sealed candidate: %w", headerErr)
+	}
 	cat, rec, err := modelio.Load(bytes.NewReader(data))
 	if err != nil {
 		w.lastRejected, w.lastHashActive = true, activeVer
@@ -172,23 +180,23 @@ func (w *Watcher) checkSealed(info os.FileInfo, hash string) (*Snapshot, Outcome
 	return w.submit(cat, rec, hash)
 }
 
-// sealedHeaderHash reads the fixed header prefix and returns the
-// embedded content hash if the file is a sealed model.
-func (w *Watcher) sealedHeaderHash() (string, bool) {
+// sealedHeaderHash reads the fixed header prefix. sealed reports whether
+// the file starts with the sealed magic; if it does, the embedded content
+// hash is returned, or the header's error when the prefix is truncated or
+// names another format version.
+func (w *Watcher) sealedHeaderHash() (hash string, sealed bool, err error) {
 	f, err := os.Open(w.path)
 	if err != nil {
-		return "", false
+		return "", false, nil // the JSON path's read reports it
 	}
 	defer f.Close()
 	var prefix [arena.HeaderPrefixLen]byte
-	n, _ := f.ReadAt(prefix[:], 0) //lint:allow droppederr -- a short or failed read fails HeaderHash below, which routes to the JSON path's full error handling
-	hash, err := arena.HeaderHash(prefix[:n])
-	if err != nil {
-		// Bad magic: not sealed. Sealed magic with a damaged header: let
-		// the JSON path read and reject it, memoized by content hash.
-		return "", false
+	n, _ := f.ReadAt(prefix[:], 0) //lint:allow droppederr -- a short or failed read fails SniffMagic or HeaderHash below, and both outcomes are handled
+	if !arena.SniffMagic(prefix[:n]) {
+		return "", false, nil
 	}
-	return hash, true
+	hash, err = arena.HeaderHash(prefix[:n])
+	return hash, true, err
 }
 
 // dedupHash runs the shared memo logic for a freshly determined content

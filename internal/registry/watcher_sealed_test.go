@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,5 +183,44 @@ func TestWatcherSealedSameTickSameSizeRewrite(t *testing.T) {
 	}
 	if reg.Active().Hash != modelio.ContentHash(sealedA) {
 		t.Fatal("rejected rewrite disturbed the active snapshot")
+	}
+}
+
+// TestWatcherRejectsOldSealedVersion: a file with the sealed magic but a
+// header of another format version is rejected with the header's own
+// error, not sent to the JSON decoder, and the rejection is memoized by
+// content hash until the file changes.
+func TestWatcherRejectsOldSealedVersion(t *testing.T) {
+	catA, recA := buildGrocery(t, 800, 3)
+	sealedA := sealModel(t, catA, recA)
+	old := append([]byte(nil), sealedA...)
+	binary.LittleEndian.PutUint32(old[8:], 1)
+
+	path := filepath.Join(t.TempDir(), "model.pma")
+	writeFile(t, path, old)
+	reg, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWatcher(reg, path, 50*time.Millisecond, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, outcome, err := w.Check()
+	if outcome != Rejected || err == nil || !strings.Contains(err.Error(), "unsupported sealed format version 1") {
+		t.Fatalf("version-1 sealed file: outcome %v, err %v; want a rejection naming the format version", outcome, err)
+	}
+	if reg.Active() != nil {
+		t.Fatal("rejected candidate was promoted")
+	}
+	writeFile(t, path, old)
+	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
+		t.Fatalf("identical rewrite of a rejected file: outcome %v, err %v; want the content-hash memo to hold", outcome, err)
+	}
+
+	writeFile(t, path, sealedA)
+	if _, outcome, err := w.Check(); err != nil || outcome != Promoted {
+		t.Fatalf("current-version rewrite: outcome %v, err %v", outcome, err)
 	}
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"sort"
 
 	"profitmining/internal/hierarchy"
@@ -420,13 +421,6 @@ func AppendExpandBody(s *hierarchy.Space, body []hierarchy.GenID, buf []hierarch
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }

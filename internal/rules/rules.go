@@ -6,9 +6,9 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"profitmining/internal/hierarchy"
@@ -101,32 +101,43 @@ func Outranks(a, b *Rule) bool {
 // SortByRank sorts rules in place from highest to lowest MPF rank. The
 // order is total because Order is unique per rule. Rank keys are
 // precomputed: with hundreds of thousands of mined rules, recomputing
-// ProfRe in the comparator dominated model-building profiles.
+// ProfRe and chasing rule pointers in the comparator dominated
+// model-building profiles.
 func SortByRank(rs []*Rule) {
-	type entry struct {
-		r      *Rule
-		profRe float64
-	}
-	entries := make([]entry, len(rs))
+	keys := make([]rankKey, len(rs))
 	for i, r := range rs {
-		entries[i] = entry{r: r, profRe: r.ProfRe()}
+		keys[i] = rankKey{profRe: r.ProfRe(), hits: r.HitCount, bodyLen: len(r.Body), order: r.Order, r: r}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := &entries[i], &entries[j]
-		if a.profRe != b.profRe { //lint:allow floatcmp -- must order exactly as Outranks does; see the comparator note there
-			return a.profRe > b.profRe
-		}
-		if a.r.HitCount != b.r.HitCount {
-			return a.r.HitCount > b.r.HitCount
-		}
-		if len(a.r.Body) != len(b.r.Body) {
-			return len(a.r.Body) < len(b.r.Body)
-		}
-		return a.r.Order < b.r.Order
-	})
-	for i := range entries {
-		rs[i] = entries[i].r
+	slices.SortFunc(keys, compareKeys)
+	for i := range keys {
+		rs[i] = keys[i].r
 	}
+}
+
+// rankKey is a rule's MPF sort key, copied out of the rule once per sort.
+type rankKey struct {
+	profRe  float64
+	hits    int
+	bodyLen int
+	order   int
+	r       *Rule
+}
+
+// compareKeys orders keys exactly as CompareRank orders their rules.
+func compareKeys(a, b rankKey) int {
+	if a.profRe != b.profRe { //lint:allow floatcmp -- must order exactly as Outranks does; see the comparator note there
+		if a.profRe > b.profRe {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(b.hits, a.hits); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.bodyLen, b.bodyLen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.order, b.order)
 }
 
 // CompareRank is the MPF order of Definition 6 as a three-way
@@ -164,34 +175,74 @@ func MoreGeneral(s *hierarchy.Space, a, b *Rule) bool {
 	return s.SetGeneralizes(a.Body, b.Body)
 }
 
-// RemoveDominated drops every rule that is more special than and ranked
-// lower than some other rule: such a rule can never be an MPF
-// recommendation rule, because whatever it matches, the more general rule
-// matches too and wins the rank comparison (Section 4.1). The surviving
-// rules are returned in rank order. Heads play no role: domination is
-// about which rule fires, not what it recommends.
+// NonDominated is the domination pass of model building. It drops every
+// rule that is more special than and ranked lower than some other rule:
+// such a rule can never be an MPF recommendation rule, because whatever
+// it matches, the more general rule matches too and wins the rank
+// comparison (Section 4.1). Heads play no role in that test: domination
+// is about which rule fires, not what it recommends.
 //
-// Walking in rank order, a rule is dominated iff some earlier (higher
-// ranked) kept rule is more general — checking against kept rules only is
-// sound because generality is transitive, so a removed dominator's own
-// dominator also dominates the candidate. The check is a Matcher subset
-// query over the candidate's body expansion, making the whole pass
-// near-linear in the rule count.
-func RemoveDominated(s *hierarchy.Space, rs []*Rule) []*Rule {
-	ranked := append([]*Rule(nil), rs...)
+// It returns two sets, both in rank order:
+//
+//   - kept, the rules of filtered that no higher-ranked rule of filtered
+//     generalizes — the candidates of the covering tree and the cut;
+//   - alt, the rules of all that no higher-ranked rule with the same
+//     target item generalizes — the per-item alternates behind top-K.
+//
+// filtered must be a subset of all (all itself when no interest filter
+// ran). Walking in rank order, a rule is dominated iff some earlier kept
+// rule of the same set is more general — checking against kept rules only
+// is sound because generality is transitive, so a removed dominator's
+// own dominator also dominates the candidate. Each check is a Matcher
+// subset query over the candidate's body expansion, which is computed
+// once per rule and shared by the per-item and the global query, so the
+// whole pass is one sort plus near-linear work in the rule count.
+//
+// The per-item query runs first. When filtered is all, a rule dominated
+// within its item is dominated globally too (its item's dominator is one
+// of all), so the global query is skipped. When the filter removed rules
+// that dominator may lie outside filtered, so filtered rules always take
+// the global query.
+func NonDominated(s *hierarchy.Space, all, filtered []*Rule) (kept, alt []*Rule) {
+	ranked := append([]*Rule(nil), all...)
 	SortByRank(ranked)
-	kept := make([]*Rule, 0, len(ranked))
-	m := NewMatcher(nil)
+	var candidate map[*Rule]bool
+	if len(filtered) != len(all) {
+		candidate = make(map[*Rule]bool, len(filtered))
+		for _, r := range filtered {
+			candidate[r] = true
+		}
+	}
+	global := &Matcher{}
+	perItem := make([]*Matcher, s.Catalog().NumItems()+1) // by target item
 	var buf []hierarchy.GenID
 	for _, r := range ranked {
 		buf = AppendExpandBody(s, r.Body, buf)
-		if m.Any(buf) {
+		item := s.ItemOf(r.Head)
+		m := perItem[item]
+		if m == nil {
+			m = &Matcher{}
+			perItem[item] = m
+		}
+		itemDominated := m.Any(buf)
+		if !itemDominated {
+			alt = append(alt, r)
+			m.Insert(r)
+		}
+		if candidate == nil {
+			if itemDominated {
+				continue
+			}
+		} else if !candidate[r] {
+			continue
+		}
+		if global.Any(buf) {
 			continue
 		}
 		kept = append(kept, r)
-		m.Insert(r)
+		global.Insert(r)
 	}
-	return kept
+	return kept, alt
 }
 
 // FilterInteresting keeps rules whose recommendation profit beats that of
