@@ -84,7 +84,7 @@ func main() {
 		soakSlide    = flag.Int("soakslide", 256, "transactions each drift refresh slides the -soakbench window by")
 		soakQPS      = flag.Float64("soakqps", 200, "target request rate for the -soakbench wall-clock open-loop phase")
 		soakWall     = flag.Float64("soakwall", 5, "wall-clock seconds of the -soakbench open-loop phase")
-		soakP99Ms    = flag.Float64("soakp99ms", 50, "server-side /recommend p99 budget in ms -soakbench enforces in both topologies")
+		soakP99Ms    = flag.Float64("soakp99ms", 5, "server-side /recommend p99 budget in ms -soakbench enforces in both topologies")
 		soakCheckEvy = flag.Int("soakcheckevery", 50, "acked outcomes between WAL shipping points in the -soakbench cluster phase")
 		soakURL      = flag.String("soakurl", "", "soak an external live server at this base URL instead of the in-process topologies (scripts/soak_smoke.sh mode)")
 		soakOut      = flag.String("soakout", "BENCH_soak.json", "where -soakbench writes its JSON report")

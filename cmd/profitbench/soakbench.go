@@ -325,8 +325,8 @@ func runSoakSingle(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soakP
 	res1, promos1, p99a := run()
 	res2, promos2, p99b := run()
 	top := foldTopology(res1, res2, res1.FinalStats, res2.FinalStats)
-	top.Promotions = minInt(promos1, promos2)
-	top.RecommendP99Ms = maxFloat(p99a, p99b)
+	top.Promotions = min(promos1, promos2)
+	top.RecommendP99Ms = max(p99a, p99b)
 	return top
 }
 
@@ -356,8 +356,8 @@ func runSoakExternal(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soa
 	top.Deterministic = false // one run against external state proves nothing
 	top.StatsSHA256 = ""
 	top.RecommendP99Ms = fetchRecommendP99(p.url)
-	fmt.Printf("soakbench: external %s: %d outcomes, %d drift alarms, %d promotions, %d dropped\n",
-		p.url, top.Outcomes, top.DriftAlarms, top.Promotions, top.DroppedOutcomes)
+	fmt.Printf("soakbench: external %s: %d outcomes, %d drift alarms, %d promotions, %d dropped, p99 %.3fms\n",
+		p.url, top.Outcomes, top.DriftAlarms, top.Promotions, top.DroppedOutcomes, top.RecommendP99Ms)
 	return top
 }
 
@@ -516,7 +516,7 @@ func runSoakCluster(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soak
 		}
 		p99 := 0.0
 		for _, st := range stacks {
-			p99 = maxFloat(p99, fetchRecommendP99(st.ts.URL))
+			p99 = max(p99, fetchRecommendP99(st.ts.URL))
 		}
 		//lint:allow atomiczone -- one registry inspected once after the run; no cross-load invariant
 		promotions := stacks[0].reg.Active().Version - 1
@@ -526,8 +526,8 @@ func runSoakCluster(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soak
 	res1, stats1, promos1, p99a, agg1 := run()
 	res2, stats2, promos2, p99b, agg2 := run()
 	top := foldTopology(res1, res2, stats1, stats2)
-	top.Promotions = minInt(promos1, promos2)
-	top.RecommendP99Ms = maxFloat(p99a, p99b)
+	top.Promotions = min(promos1, promos2)
+	top.RecommendP99Ms = max(p99a, p99b)
 	top.Aggregated = agg1
 	// An acked outcome missing from the spool is exactly the loss the
 	// WAL-shipping tier exists to prevent; count it as dropped.
@@ -584,7 +584,7 @@ func foldTopology(res1, res2 *simload.Result, stats1, stats2 []byte) *soakTopolo
 		NoRec:           res1.NoRec,
 		Outcomes:        res1.Outcomes,
 		Conversions:     res1.Conversions,
-		DriftAlarms:     minInt64(res1.DriftAlarms, res2.DriftAlarms),
+		DriftAlarms:     min(res1.DriftAlarms, res2.DriftAlarms),
 		DroppedOutcomes: res1.Dropped + res2.Dropped,
 		StatsSHA256:     hex.EncodeToString(sum[:]),
 		Deterministic: bytes.Equal(stats1, stats2) &&
@@ -628,25 +628,4 @@ func fetchModelVersion(base string) int {
 		fail(fmt.Errorf("soakbench: decode /version: %w", err))
 	}
 	return v.Version
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

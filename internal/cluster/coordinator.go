@@ -780,32 +780,39 @@ func (c *Coordinator) feedbackStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.spool.Stats(limit))
 }
 
+// replicaReport is one replica's entry in a merged fleet view: its
+// health, and either the error that kept it from reporting or its
+// response body verbatim.
+type replicaReport struct {
+	Healthy bool            `json:"healthy"`
+	Error   string          `json:"error,omitempty"`
+	Report  json.RawMessage `json:"report,omitempty"`
+}
+
 // fetchJSON GETs path from every replica in parallel (health-agnostic:
 // a down replica reports its error instead of vanishing from the view).
-func (c *Coordinator) fetchJSON(ctx context.Context, path string) map[string]map[string]any {
+func (c *Coordinator) fetchJSON(ctx context.Context, path string) map[string]replicaReport {
 	c.mu.Lock()
 	replicas := c.replicas
 	c.mu.Unlock()
-	out := make(map[string]map[string]any, len(replicas))
+	out := make(map[string]replicaReport, len(replicas))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, rs := range replicas {
 		wg.Add(1)
 		go func(rs *replicaState) {
 			defer wg.Done()
-			entry := map[string]any{"healthy": rs.healthy.Load()}
+			entry := replicaReport{Healthy: rs.healthy.Load()}
 			res, err := c.attempt(ctx, rs, http.MethodGet, path, nil, nil)
-			if err != nil {
-				entry["error"] = err.Error()
-			} else if res.status != http.StatusOK {
-				entry["error"] = fmt.Sprintf("status %d", res.status)
-			} else {
-				var body map[string]any
-				if err := json.Unmarshal(res.body, &body); err != nil {
-					entry["error"] = "undecodable response"
-				} else {
-					entry["report"] = body
-				}
+			switch {
+			case err != nil:
+				entry.Error = err.Error()
+			case res.status != http.StatusOK:
+				entry.Error = fmt.Sprintf("status %d", res.status)
+			case !json.Valid(res.body):
+				entry.Error = "undecodable response"
+			default:
+				entry.Report = res.body
 			}
 			mu.Lock()
 			out[rs.name] = entry
@@ -824,20 +831,19 @@ func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	perReplica := c.fetchJSON(r.Context(), "/metrics")
-	var recommendations, badRequests float64
+	var recommendations, badRequests int64
 	healthy := 0
 	for _, entry := range perReplica {
-		rep, ok := entry["report"].(map[string]any)
-		if !ok {
-			continue
+		var rep struct {
+			Recommendations int64 `json:"recommendations"`
+			BadRequests     int64 `json:"badRequests"`
+		}
+		if json.Unmarshal(entry.Report, &rep) != nil {
+			continue // no report (nil fails to decode) or a mistyped one
 		}
 		healthy++
-		if v, ok := rep["recommendations"].(float64); ok {
-			recommendations += v
-		}
-		if v, ok := rep["badRequests"].(float64); ok {
-			badRequests += v
-		}
+		recommendations += rep.Recommendations
+		badRequests += rep.BadRequests
 	}
 	drifting, episodeKey := c.spool.Drift()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -877,10 +883,11 @@ func (c *Coordinator) version(w http.ResponseWriter, r *http.Request) {
 	perReplica := c.fetchJSON(r.Context(), "/version")
 	hashes := map[string]bool{}
 	for _, entry := range perReplica {
-		if rep, ok := entry["report"].(map[string]any); ok {
-			if h, ok := rep["hash"].(string); ok && h != "" {
-				hashes[h] = true
-			}
+		var rep struct {
+			Hash string `json:"hash"`
+		}
+		if json.Unmarshal(entry.Report, &rep) == nil && rep.Hash != "" {
+			hashes[rep.Hash] = true
 		}
 	}
 	distinct := make([]string, 0, len(hashes))

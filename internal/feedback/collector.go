@@ -14,6 +14,14 @@ import (
 // registered model has served. The serving layer maps it to HTTP 422.
 var ErrUnknownRule = errors.New("feedback: unknown rule")
 
+// ErrInvalidOutcome rejects an outcome whose qty or paidPrice lies
+// outside [0, MaxOutcomeValue]. The serving layer maps it to HTTP 400.
+var ErrInvalidOutcome = errors.New("feedback: invalid outcome")
+
+// MaxOutcomeValue caps qty and paidPrice, so one realized profit stays
+// below 1e18 and the sums (and the JSON that reports them) stay finite.
+const MaxOutcomeValue = 1e9
+
 // Config assembles a Collector.
 type Config struct {
 	// Dir is the WAL directory. Empty runs the collector in-memory:
@@ -206,6 +214,9 @@ func (c *Collector) observe(shortfall float64) {
 //
 //wal:ack
 func (c *Collector) Record(o Outcome) (Receipt, error) {
+	if !(o.Qty >= 0 && o.Qty <= MaxOutcomeValue && o.PaidPrice >= 0 && o.PaidPrice <= MaxOutcomeValue) {
+		return Receipt{}, fmt.Errorf("%w: qty and paidPrice must lie in [0, %g]", ErrInvalidOutcome, float64(MaxOutcomeValue))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	proj, ok := c.projections[o.RuleID]

@@ -3,6 +3,7 @@ package feedback
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -22,6 +23,36 @@ func TestRecordUnknownRule(t *testing.T) {
 	}
 	if st := c.Stats(0); st.UnknownRules != 1 || st.Outcomes != 0 {
 		t.Errorf("unknown-rule report should be counted and excluded: %+v", st)
+	}
+}
+
+func TestRecordRejectsOutOfRangeValues(t *testing.T) {
+	c, _, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	projs := testProjections()
+	if err := c.RegisterModel(1, "m", projs); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Outcome{
+		{Qty: -1}, {PaidPrice: -0.5}, {Qty: math.NaN()}, {PaidPrice: math.Inf(1)},
+		{Qty: MaxOutcomeValue * 2}, {PaidPrice: math.Nextafter(MaxOutcomeValue, math.Inf(1))},
+		{RuleID: "rdeadbeefdeadbeef", Qty: -1}, // checked before the rule lookup
+	} {
+		if o.RuleID == "" {
+			o.RuleID = projs[0].ID
+		}
+		o.Bought = true
+		if _, err := c.Record(o); !errors.Is(err, ErrInvalidOutcome) {
+			t.Errorf("Record(%+v) = %v, want ErrInvalidOutcome", o, err)
+		}
+	}
+	if _, err := c.Record(Outcome{RuleID: projs[0].ID, Bought: true, Qty: MaxOutcomeValue, PaidPrice: MaxOutcomeValue}); err != nil {
+		t.Fatalf("values at the cap: %v", err)
+	}
+	if st := c.Stats(0); st.Outcomes != 1 || st.UnknownRules != 0 {
+		t.Errorf("rejected reports leaked into the accounting: %+v", st)
 	}
 }
 

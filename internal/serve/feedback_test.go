@@ -203,3 +203,56 @@ func TestOutcomeAccounting(t *testing.T) {
 func jsonNum(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
+
+// TestHostileOutcomeValuesRejected: outcomes whose qty or paidPrice
+// would drive the realized-profit sums (or one record's own profit) to
+// +Inf are refused with 400 at intake, and the accounting surfaces keep
+// answering 200. Before the cap, two such outcomes made every later
+// /metrics and /feedback/stats a 500, and with a WAL a single one
+// failed to journal.
+func TestHostileOutcomeValuesRejected(t *testing.T) {
+	wal, _, err := feedback.Open(feedback.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wal.Close() }) //lint:allow droppederr -- test teardown
+	for name, fb := range map[string]*feedback.Collector{"in-memory": inMemoryCollector(t), "wal": wal} {
+		t.Run(name, func(t *testing.T) {
+			_, ts := newFeedbackServer(t, fb)
+			_, body := postJSON(t, ts.URL+"/recommend", `{"basket":[{"item":"Beer","promoIx":0}]}`)
+			ruleID := body["recommendations"].([]any)[0].(map[string]any)["ruleID"].(string)
+
+			hostile := []string{
+				`{"ruleID":"` + ruleID + `","bought":true,"qty":1e154,"paidPrice":1e154}`,
+				`{"ruleID":"` + ruleID + `","bought":true,"qty":1e154,"paidPrice":1e154}`,
+				`{"ruleID":"` + ruleID + `","bought":true,"qty":1e300,"paidPrice":1e300}`,
+				`{"ruleID":"` + ruleID + `","bought":true,"qty":1,"paidPrice":1e10}`,
+			}
+			for _, b := range hostile {
+				if resp, out := postJSON(t, ts.URL+"/outcome", b); resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("POST /outcome %s = %d (%v), want 400", b, resp.StatusCode, out)
+				}
+			}
+			resp, metrics := getJSON(t, ts.URL+"/metrics")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics = %d after hostile outcomes", resp.StatusCode)
+			}
+			if got := metrics["badRequests"].(float64); got != float64(len(hostile)) {
+				t.Errorf("badRequests = %v, want %d", got, len(hostile))
+			}
+			if resp, _ := getJSON(t, ts.URL+"/feedback/stats"); resp.StatusCode != http.StatusOK {
+				t.Fatalf("/feedback/stats = %d after hostile outcomes", resp.StatusCode)
+			}
+			// The largest accepted values still journal and account.
+			capped := `{"ruleID":"` + ruleID + `","bought":true,"qty":1e9,"paidPrice":1e9}`
+			for i := 0; i < 2; i++ {
+				if resp, out := postJSON(t, ts.URL+"/outcome", capped); resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST /outcome at the cap = %d (%v), want 200", resp.StatusCode, out)
+				}
+			}
+			if resp, stats := getJSON(t, ts.URL+"/feedback/stats"); resp.StatusCode != http.StatusOK || stats["outcomes"].(float64) != 2 {
+				t.Errorf("/feedback/stats = %d %v, want 200 with 2 outcomes", resp.StatusCode, stats["outcomes"])
+			}
+		})
+	}
+}

@@ -10,7 +10,8 @@ import (
 
 // Concurrent requests across several endpoints: the aggregate histogram
 // total, the per-endpoint histogram totals, and the per-endpoint request
-// counters must all agree, and the histogram binning must stay stable.
+// counters must all agree, and every histogram's buckets must be
+// well-formed and add up.
 // Run under -race this also proves the recording path is data-race free.
 func TestLatencyHistogramConcurrent(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -103,21 +104,28 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 		t.Errorf("aggregate latency count %d != sum of per-endpoint counts %d", aggregate, epTotal)
 	}
 
-	// Bucket boundaries are part of the metrics contract: 200 bins of
-	// 0.5ms over [0, 100ms).
-	if binMs := lat["binMs"].(float64); binMs != 0.5 {
-		t.Errorf("binMs = %g, want 0.5", binMs)
+	// Every histogram, aggregate and per endpoint, lists strictly
+	// ascending bucket edges whose counts sum to its count, and the
+	// aggregate's buckets are the element-wise sum of the endpoints'.
+	summed := map[int64]int64{}
+	for ep, v := range byEp {
+		for edge, c := range checkBuckets(t, ep, v.(map[string]any)) {
+			summed[edge] += c
+		}
 	}
-	counts := lat["counts"].([]any)
-	if len(counts) != 200 {
-		t.Errorf("latency bins = %d, want 200", len(counts))
+	agg := checkBuckets(t, "aggregate", lat)
+	if len(agg) != len(summed) {
+		t.Errorf("aggregate has %d non-empty buckets, the endpoints %d", len(agg), len(summed))
 	}
-	var binSum int64
-	for _, c := range counts {
-		binSum += int64(c.(float64))
+	for edge, c := range summed {
+		if agg[edge] != c {
+			t.Errorf("aggregate bucket %dus = %d, endpoints sum to %d", edge, agg[edge], c)
+		}
 	}
-	if binSum != aggregate {
-		t.Errorf("bin counts sum to %d, histogram count is %d", binSum, aggregate)
+	// The buckets resolve microseconds, and a health check answers in
+	// far less than half a millisecond.
+	if p50 := byEp["/healthz"].(map[string]any)["p50Ms"].(float64); p50 <= 0 || p50 >= 0.5 {
+		t.Errorf("/healthz p50Ms = %g, want a measured value in (0, 0.5)", p50)
 	}
 
 	for _, ep := range []string{"/healthz", "/version", "/rules"} {
@@ -125,4 +133,27 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 			t.Errorf("%s request counter = %d, want %d", ep, got, int64(workers*perEp))
 		}
 	}
+}
+
+// checkBuckets checks one rendered histogram's buckets — edges strictly
+// ascending, counts positive and summing to the histogram's count — and
+// returns them keyed by upper edge (µs).
+func checkBuckets(t *testing.T, name string, h map[string]any) map[int64]int64 {
+	t.Helper()
+	out := map[int64]int64{}
+	var sum, last int64
+	for _, b := range h["buckets"].([]any) {
+		pair := b.([]any)
+		edge, c := int64(pair[0].(float64)), int64(pair[1].(float64))
+		if edge <= last || c <= 0 {
+			t.Errorf("%s: bucket [%d, %d] after edge %d: edges must strictly ascend, counts be positive", name, edge, c, last)
+		}
+		last = edge
+		sum += c
+		out[edge] = c
+	}
+	if n := int64(h["count"].(float64)); sum != n {
+		t.Errorf("%s: buckets sum to %d, count is %d", name, sum, n)
+	}
+	return out
 }

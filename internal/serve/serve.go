@@ -58,7 +58,7 @@ const maxOutcomeBody = 64 << 10
 const versionHeader = "X-Model-Version"
 
 // endpoints is the fixed route set, used to key the per-endpoint
-// request counters.
+// request counters and latency histograms.
 var endpoints = []string{"/healthz", "/catalog", "/rules", "/recommend", "/recommend/batch", "/outcome", "/feedback/stats", "/metrics", "/version", "/admin/reload"}
 
 // Reloader triggers one registry poll outside the watch loop — the
@@ -67,9 +67,9 @@ var endpoints = []string{"/healthz", "/catalog", "/rules", "/recommend", "/recom
 type Reloader func() (*registry.Snapshot, registry.Outcome, error)
 
 // Server wraps a model registry with HTTP handlers. The hot path takes
-// one atomic snapshot load per request; the counters are atomic and the
-// latency histogram is mutex-guarded, so a single instance serves
-// concurrent requests.
+// one atomic snapshot load per request, and the counters and latency
+// histograms are lock-free, so a single instance serves concurrent
+// requests.
 type Server struct {
 	reg    *registry.Registry
 	reload Reloader            // nil: /admin/reload answers 501
@@ -77,12 +77,14 @@ type Server struct {
 
 	recommendations atomic.Int64
 	badRequests     atomic.Int64
-	draining        atomic.Bool              // set by StartDrain; health answers 503
-	requests        map[string]*atomic.Int64 // per-endpoint hit counters, fixed key set
+	draining        atomic.Bool               // set by StartDrain; health answers 503
+	eps             map[string]*endpointStats // fixed key set
+}
 
-	latencyMu sync.Mutex
-	latency   *stats.Histogram            // request latency, milliseconds, all endpoints
-	epLatency map[string]*stats.Histogram // per-endpoint latency, fixed key set
+// endpointStats is one route's hit counter and request latency.
+type endpointStats struct {
+	requests atomic.Int64
+	latency  stats.Hist
 }
 
 // New creates a Server over a fixed (catalog, recommender) pair — the
@@ -123,21 +125,13 @@ func NewRegistry(reg *registry.Registry, reload Reloader, fb *feedback.Collector
 		}
 	}
 	s := &Server{
-		reg:      reg,
-		reload:   reload,
-		fb:       fb,
-		requests: make(map[string]*atomic.Int64, len(endpoints)),
-		// 200 bins of 0.5ms over [0, 100ms): basket scoring is
-		// sub-millisecond, but the range leaves headroom for tail
-		// outliers (first request after a model swap, GC pauses) so a
-		// p99 read stays honest instead of clamping at a low ceiling;
-		// the clamp bin at 100ms doubles as the slow-request counter.
-		latency:   stats.NewHistogram(0, 100, 200),
-		epLatency: make(map[string]*stats.Histogram, len(endpoints)),
+		reg:    reg,
+		reload: reload,
+		fb:     fb,
+		eps:    make(map[string]*endpointStats, len(endpoints)),
 	}
 	for _, ep := range endpoints {
-		s.requests[ep] = new(atomic.Int64)
-		s.epLatency[ep] = stats.NewHistogram(0, 100, 200)
+		s.eps[ep] = new(endpointStats)
 	}
 	return s
 }
@@ -151,7 +145,7 @@ func NewRegistry(reg *registry.Registry, reload Reloader, fb *feedback.Collector
 //	POST /recommend/batch — score many baskets in one request
 //	POST /outcome      — report what the customer did with a recommendation
 //	GET  /feedback/stats — realized-profit accounting and drift state
-//	GET  /metrics      — counters and request-latency histogram
+//	GET  /metrics      — counters and request-latency histograms
 //	GET  /version      — active model version, hash, staged candidate, shadow stats
 //	POST /admin/reload — poll the model file now (501 without a reloader)
 func (s *Server) Handler() http.Handler {
@@ -170,20 +164,16 @@ func (s *Server) Handler() http.Handler {
 }
 
 // instrument counts the request against its endpoint and records its
-// wall-clock latency in both the aggregate and the per-endpoint
-// histogram. One lock covers both adds so their totals can never be
-// observed out of step with each other.
+// wall-clock latency in the endpoint's histogram. /metrics derives the
+// aggregate by merging the endpoint histograms, so a request is
+// recorded once.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := s.epLatency[name]
+	ep := s.eps[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.requests[name].Add(1)
+		ep.requests.Add(1)
 		h(w, r)
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		s.latencyMu.Lock()
-		s.latency.Add(ms)
-		ep.Add(ms)
-		s.latencyMu.Unlock()
+		ep.latency.Record(time.Since(start))
 	}
 }
 
@@ -206,34 +196,20 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	reqs := make(map[string]int64, len(s.requests))
-	for ep, c := range s.requests {
-		reqs[ep] = c.Load()
-	}
-	s.latencyMu.Lock()
-	lat := map[string]any{
-		"count":  s.latency.N(),
-		"meanMs": s.latency.Mean(),
-		"binMs":  (s.latency.Max - s.latency.Min) / float64(len(s.latency.Counts)),
-		"counts": append([]int64(nil), s.latency.Counts...),
-	}
-	// Derived per-endpoint percentiles, so load harnesses (the soak gate
-	// in particular) can read server-side p99 instead of recomputing
-	// client-side percentiles that include network time.
-	byEndpoint := make(map[string]any, len(s.epLatency))
-	for ep, h := range s.epLatency {
-		if h.N() == 0 {
-			continue
-		}
-		byEndpoint[ep] = map[string]any{
-			"count":  h.N(),
-			"meanMs": h.Mean(),
-			"p50Ms":  h.Quantile(0.50),
-			"p95Ms":  h.Quantile(0.95),
-			"p99Ms":  h.Quantile(0.99),
+	// Per-endpoint percentiles let load harnesses (the soak gate in
+	// particular) read server-side p99 instead of client-side
+	// percentiles that include network time. The aggregate is the merge
+	// of the endpoint snapshots, so its buckets are their sum.
+	reqs := make(map[string]int64, len(s.eps))
+	byEndpoint := make(map[string]latencyJSON, len(s.eps))
+	var all stats.HistSnapshot
+	for name, ep := range s.eps {
+		reqs[name] = ep.requests.Load()
+		if snap := ep.latency.Snapshot(); snap.N() > 0 {
+			all.Add(snap)
+			byEndpoint[name] = newLatencyJSON(snap)
 		}
 	}
-	s.latencyMu.Unlock()
 
 	fbStats := s.fb.Stats(-1)
 	fb := map[string]any{
@@ -253,7 +229,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		"recommendations":   s.recommendations.Load(),
 		"badRequests":       s.badRequests.Load(),
 		"requests":          reqs,
-		"latency":           lat,
+		"latency":           newLatencyJSON(&all),
 		"latencyByEndpoint": byEndpoint,
 		"feedback":          fb,
 	}
@@ -262,6 +238,30 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		body["modelVersion"] = snap.Version
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// latencyJSON is the /metrics rendering of one latency histogram:
+// quantiles are bucket upper edges (at most 1/32 above the true value),
+// and buckets lists the non-empty [upper edge µs, count] pairs.
+type latencyJSON struct {
+	Count   int64      `json:"count"`
+	MeanMs  float64    `json:"meanMs"`
+	P50Ms   float64    `json:"p50Ms"`
+	P95Ms   float64    `json:"p95Ms"`
+	P99Ms   float64    `json:"p99Ms"`
+	Buckets [][2]int64 `json:"buckets"`
+}
+
+func newLatencyJSON(h *stats.HistSnapshot) latencyJSON {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return latencyJSON{
+		Count:   h.N(),
+		MeanMs:  ms(h.Mean()),
+		P50Ms:   ms(h.Quantile(0.50)),
+		P95Ms:   ms(h.Quantile(0.95)),
+		P99Ms:   ms(h.Quantile(0.99)),
+		Buckets: h.Buckets(),
+	}
 }
 
 // version reports the deployment state: the active snapshot, the staged
@@ -616,11 +616,6 @@ func (s *Server) outcome(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "ruleID is required")
 		return
 	}
-	if req.Qty < 0 || req.PaidPrice < 0 {
-		s.badRequests.Add(1)
-		s.fail(w, http.StatusBadRequest, "qty and paidPrice must be non-negative")
-		return
-	}
 	receipt, err := s.fb.Record(feedback.Outcome{
 		RequestID:    req.RequestID,
 		RuleID:       req.RuleID,
@@ -630,7 +625,12 @@ func (s *Server) outcome(w http.ResponseWriter, r *http.Request) {
 		PaidPrice:    req.PaidPrice,
 	})
 	if err != nil {
-		if errors.Is(err, feedback.ErrUnknownRule) {
+		switch {
+		case errors.Is(err, feedback.ErrInvalidOutcome):
+			s.badRequests.Add(1)
+			s.fail(w, http.StatusBadRequest, err.Error())
+			return
+		case errors.Is(err, feedback.ErrUnknownRule):
 			s.badRequests.Add(1)
 			s.fail(w, http.StatusUnprocessableEntity, err.Error())
 			return

@@ -16,6 +16,16 @@ import (
 
 func newTestServer(t testing.TB) (*datagen.Grocery, *httptest.Server) {
 	t.Helper()
+	g, srv := newGroceryServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return g, ts
+}
+
+// newGroceryServer builds the grocery test model and serves it from a
+// fixed-model Server.
+func newGroceryServer(t testing.TB) (*datagen.Grocery, *Server) {
+	t.Helper()
 	g := datagen.NewGrocery(1000, 3)
 	space, err := g.Builder.Compile(hierarchy.Options{MOA: true})
 	if err != nil {
@@ -29,9 +39,7 @@ func newTestServer(t testing.TB) (*datagen.Grocery, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(g.Dataset.Catalog, rec).Handler())
-	t.Cleanup(ts.Close)
-	return g, ts
+	return g, New(g.Dataset.Catalog, rec)
 }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, map[string]any) {
@@ -388,8 +396,12 @@ func TestMetricsPerEndpointAndLatency(t *testing.T) {
 	if got := lat["count"].(float64); got < 3 {
 		t.Errorf("latency count = %v, want >= 3", got)
 	}
-	if lat["binMs"].(float64) <= 0 || len(lat["counts"].([]any)) == 0 {
-		t.Errorf("latency histogram malformed: %v", lat)
+	checkBuckets(t, "aggregate", lat)
+	// Quantiles are bucket upper edges, so never 0 once anything landed.
+	for _, q := range []string{"p50Ms", "p95Ms", "p99Ms"} {
+		if v, ok := lat[q].(float64); !ok || v <= 0 {
+			t.Errorf("aggregate %s = %v, want a positive bucket edge", q, lat[q])
+		}
 	}
 	if body["modelVersion"].(float64) != 1 {
 		t.Errorf("modelVersion = %v, want 1", body["modelVersion"])

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"profitmining/internal/stats"
 )
 
 // Recommendation is the slice of the serve wire format the simulator
@@ -49,8 +51,8 @@ type Client struct {
 	Base string
 	HC   *http.Client
 
-	RecommendHist Hist
-	OutcomeHist   Hist
+	RecommendHist stats.Hist
+	OutcomeHist   stats.Hist
 	Ledger        Ledger
 }
 

@@ -14,7 +14,6 @@ type Histogram struct {
 	Min, Max float64
 	Counts   []int64
 	n        int64
-	sum      float64
 }
 
 // NewHistogram creates a histogram with the given number of bins over
@@ -37,51 +36,10 @@ func (h *Histogram) Add(v float64) {
 	}
 	h.Counts[idx]++
 	h.n++
-	h.sum += v
 }
 
 // N returns the number of observations.
 func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the mean of the observations (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound on the p-quantile of the recorded
-// observations (nearest-rank over the bin cumulative counts, reporting
-// the containing bin's upper edge). The estimate errs upward by at most
-// one bin width, which is the safe direction for latency budgets: a
-// gate on Quantile(0.99) can reject a healthy run by one bin, never
-// pass an unhealthy one. p is clamped to [0, 1]; an empty histogram
-// yields 0.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int64(math.Ceil(p * float64(h.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	var cum int64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			return h.Min + float64(i+1)*w
-		}
-	}
-	return h.Max
-}
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
